@@ -1,15 +1,14 @@
 """Rational roots, polynomial gcd, squarefree parts, and real-root counts.
 
-Root finding is exact and complete over the rationals: candidates come
-from the rational-root theorem applied to the primitive integer form, with
-the constant and leading coefficients factored by Miller-Rabin plus
-Pollard's rho (Brent variant).
+Root finding is exact and complete over the rationals: roots of the
+squarefree part are found modulo a 62-bit prime, Hensel-lifted, and
+recovered by rational reconstruction, and every candidate is verified by
+exact evaluation before it is returned.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .poly import Polynomial
@@ -42,66 +41,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    rng = random.Random(n & 0xFFFFFFFF)
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    ds = [1]
-    for p, k in factorize(n).items():
-        ds = [d * p**i for d in ds for i in range(k + 1)]
-    return sorted(ds)
+    """All positive divisors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError("divisors expects a positive integer")
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
 
 
 def _primitive_integer_form(p: Polynomial) -> list[int]:
@@ -109,51 +59,6 @@ def _primitive_integer_form(p: Polynomial) -> list[int]:
     ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
-
-
-# Above this size the extreme coefficients are not factored; roots are
-# found modulo a large prime and lifted instead.
-_DIVISOR_LIMIT = 1 << 48
-
-
-def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
-    """Exactly the rational roots of a nonzero polynomial, sorted.
-
-    Small extreme coefficients take the classic route: factor them and
-    try every divisor quotient. Huge ones would make factoring (or the
-    divisor walk itself) blow up, so those polynomials go through roots
-    modulo a 62-bit prime, Hensel lifting, and rational reconstruction,
-    with every candidate verified exactly before it is believed.
-    """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every point as a root")
-    if p.is_constant:
-        return ()
-    found: set[Fraction] = set()
-    v = p.x_valuation()
-    if v > 0:
-        found.add(Fraction(0))
-        p = Polynomial(p.coeffs[v:])
-    if p.is_constant:
-        return tuple(sorted(found))
-    ints = _primitive_integer_form(p)
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if max(a0, an) > _DIVISOR_LIMIT:
-        found.update(_rational_roots_lifted(p))
-        return tuple(sorted(found))
-    for num in divisors(a0):
-        for den in divisors(an):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in found:
-                    continue
-                acc = 0
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    found.add(cand)
-    return tuple(sorted(found))
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -259,15 +164,24 @@ def _rat_reconstruct(t: int, m: int, num_bound: int, den_bound: int):
     return Fraction(r1, s1)
 
 
-def _rational_roots_lifted(p: Polynomial) -> set[Fraction]:
-    """Rational roots of p without factoring its huge extreme coefficients."""
-    out: set[Fraction] = set()
+def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
+    """Exactly the rational roots of a nonzero polynomial, sorted.
+
+    After splitting off the root 0, the roots of the squarefree part are
+    found modulo a 62-bit prime that keeps it squarefree and of full
+    degree, Hensel-lifted past twice the product of its extreme
+    coefficients, and recovered by rational reconstruction. A candidate
+    is returned only when p vanishes at it exactly.
+    """
+    if p.is_zero:
+        raise ValueError("the zero polynomial has every point as a root")
+    found: set[Fraction] = set()
     v = p.x_valuation()
     if v > 0:
-        out.add(Fraction(0))
+        found.add(Fraction(0))
         p = Polynomial(p.coeffs[v:])
-        if p.is_constant:
-            return out
+    if p.is_constant:
+        return tuple(sorted(found))
     g = poly_gcd(p, p.derivative())
     sf = p if g.is_constant else p // g
     sints = _primitive_integer_form(sf)
@@ -275,8 +189,8 @@ def _rational_roots_lifted(p: Polynomial) -> set[Fraction]:
     if n == 1:
         root = Fraction(-sints[0], sints[1])
         if p(root) == 0:
-            out.add(root)
-        return out
+            found.add(root)
+        return tuple(sorted(found))
     num_bound, den_bound = abs(sints[0]), abs(sints[-1])
     target = 2 * num_bound * den_bound + 1
 
@@ -300,8 +214,6 @@ def _rational_roots_lifted(p: Polynomial) -> set[Fraction]:
         xq.append(0)
     xq[1] = (xq[1] - 1) % q
     kernel = _pm_gcd(fbar, _pm_trim(xq), q)
-    if len(kernel) <= 1:
-        return out
 
     deriv = [i * c for i, c in enumerate(sints)][1:]
     for t in _pm_linear_roots(kernel, q):
@@ -313,8 +225,8 @@ def _rational_roots_lifted(p: Polynomial) -> set[Fraction]:
             t = (t - ft * inv) % modulus
         cand = _rat_reconstruct(t, modulus, num_bound, den_bound)
         if cand is not None and p(cand) == 0:
-            out.add(cand)
-    return out
+            found.add(cand)
+    return tuple(sorted(found))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -388,21 +300,16 @@ def _integer_kth_root(n: int, k: int) -> int | None:
     """Exact k-th root of n >= 0, or None."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n in (0, 1):
+    if n < 2:
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    # float guess can be off for very large n; fall back to bisection
-    lo, hi = 0, 1 << (n.bit_length() // k + 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
+    # Integer Newton from above: 2^ceil(bits/k) exceeds the root, and the
+    # iterates fall strictly until they reach floor(n^(1/k)).
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def rational_kth_root(q: Fraction, k: int) -> Fraction | None:

@@ -2,24 +2,22 @@
 
 Root sets are checked against planted constructions: build the polynomial
 from chosen roots, then the answer is known before the code under test
-runs. The modular large-coefficient path is additionally cross-checked
-against the plain divisor path on inputs where both apply.
+runs. Root sets are also compared with sympy's ``ground_roots``, an
+independent exact oracle used in tests only, on planted inputs with small
+and with 60-bit cofactors.
 """
 
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polydecomp.parsing import parse
 from polydecomp.poly import ONE, Polynomial, X
 from polydecomp.roots import (
-    _rational_roots_lifted,
     count_real_roots,
     divisors,
-    factorize,
     is_probable_prime,
     poly_gcd,
     poly_kth_root,
@@ -36,25 +34,42 @@ def poly_with_roots(roots, cofactor=ONE, lead=1):
     return q * cofactor
 
 
+def sympy_rational_roots(q):
+    import sympy
+
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(q.coeffs)]
+    found = sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").ground_roots()
+    return tuple(sorted(F(int(r.p), int(r.q)) for r in found))
+
+
 class TestIntegerHelpers:
-    def test_factorize_oracle(self):
-        assert factorize(672) == {2: 5, 3: 1, 7: 1}
-        assert factorize(1) == {}
-        assert factorize(97) == {97: 1}
-        assert factorize(2**20) == {2: 20}
-        assert factorize(1009 * 1013) == {1009: 1, 1013: 1}
+    def test_divisors_oracle(self):
+        assert divisors(672) == [
+            1, 2, 3, 4, 6, 7, 8, 12, 14, 16, 21, 24,
+            28, 32, 42, 48, 56, 84, 96, 112, 168, 224, 336, 672,
+        ]
+        assert divisors(1) == [1]
+        assert divisors(97) == [1, 97]
+        assert divisors(2**20) == [2**i for i in range(21)]
+        assert divisors(1009 * 1013) == [1, 1009, 1013, 1009 * 1013]
+        with pytest.raises(ValueError):
+            divisors(0)
 
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=80)
-    def test_factorize_rebuilds(self, n):
-        f = factorize(n)
-        assert math.prod(p**e for p, e in f.items()) == n
-        assert all(is_probable_prime(p) for p in f)
+    def test_divisors_structure(self, n):
+        ds = divisors(n)
+        assert all(n % d == 0 for d in ds)
+        assert all(a < b for a, b in zip(ds, ds[1:]))
+        assert {n // d for d in ds} == set(ds)
+        assert ds[0] == 1 and ds[-1] == n
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
         assert divisors(49) == [1, 7, 49]
+        for n in range(1, 2001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
     def test_primality_against_sieve(self):
         limit = 10_000
@@ -92,8 +107,8 @@ class TestRationalRoots:
         assert list(rational_roots(q)) == sorted(rational_roots(q))
 
     def test_planted_huge_coefficients(self):
-        # an irrational cofactor with 60-bit coefficients pushes the
-        # extreme coefficients past the divisor-enumeration cutoff
+        # an irrational cofactor with 60-bit coefficients makes the
+        # extreme coefficients far too large to enumerate their divisors
         cof = Polynomial([F(2**61 - 1), F(2**60), F(1)])
         q = poly_with_roots([F(-3, 2), 5], cofactor=cof)
         assert set(rational_roots(q)) == {F(-3, 2), F(5)}
@@ -101,19 +116,60 @@ class TestRationalRoots:
     def test_huge_no_roots(self):
         cof = Polynomial([F(2**61 - 1), F(2**60), F(1)])
         assert rational_roots(cof * cof) == ()
+        # modular roots of these lift to fractions within the coefficient
+        # bounds that are not roots; only the exact check rejects them
+        assert rational_roots(parse(
+            "960623497610179316x^2 - 225049982576642288x + 628869966819335509"
+        )) == ()
+        assert rational_roots(parse(
+            "623380847x^3 + 405543113x^2 - 280847131x - 603491762"
+        )) == ()
 
-    def test_lifted_path_agrees_with_divisor_path(self):
+    def test_planted_seeded(self):
         rng = random.Random(7)
         for _ in range(30):
             roots = [
                 F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))
             ]
             q = poly_with_roots(roots, cofactor=parse("x^2 + x + 1"))
-            assert set(_rational_roots_lifted(q)) == set(rational_roots(q))
+            assert rational_roots(q) == tuple(sorted(set(roots)))
 
-    def test_lifted_path_handles_zero_valuation(self):
+    def test_zero_valuation_split(self):
         q = parse("x^2") * poly_with_roots([-11, F(-3, 8)])
-        assert set(_rational_roots_lifted(q)) == {F(0), F(-11), F(-3, 8)}
+        assert rational_roots(q) == (F(-11), F(-3, 8), F(0))
+
+    @given(
+        roots=st.lists(
+            st.fractions(min_value=-30, max_value=30, max_denominator=6), max_size=3
+        ),
+        repeat=st.booleans(),
+        valuation=st.integers(min_value=0, max_value=2),
+        cofactor=st.one_of(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+            st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=4),
+        )
+        .map(Polynomial)
+        .filter(lambda c: not c.is_zero),
+    )
+    @example(roots=[F(-7, 3)], repeat=False, valuation=0, cofactor=ONE)
+    @example(roots=[], repeat=False, valuation=0, cofactor=Polynomial([F(3), F(2**60 + 1)]))
+    @example(
+        roots=[F(5, 2), F(-1)],
+        repeat=True,
+        valuation=2,
+        cofactor=Polynomial([F(2**61 - 1), F(2**60), F(1)]),
+    )
+    @example(
+        roots=[F(2**89 - 1, 3**60), F(-(5**40), 7**30 + 2)],
+        repeat=False,
+        valuation=1,
+        cofactor=Polynomial([F(628869966819335509), F(-225049982576642288), F(960623497610179316)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_sympy(self, roots, repeat, valuation, cofactor):
+        roots = roots + roots[:1] if repeat else roots
+        q = Polynomial([F(0)] * valuation + [F(1)]) * poly_with_roots(roots, cofactor)
+        assert rational_roots(q) == sympy_rational_roots(q)
 
     @given(
         roots=st.lists(
@@ -200,6 +256,17 @@ class TestKthRoots:
         assert rational_kth_root(F(2), 2) is None
         assert rational_kth_root(F(-4), 2) is None
         assert rational_kth_root(F(0), 5) == 0
+        assert rational_kth_root(F(3**1000), 2) == 3**500
+        assert rational_kth_root(F(3**1001), 2) is None
+        assert rational_kth_root(F(-(2**3000), 3**300), 3) == F(-(2**1000), 3**100)
+
+    def test_rational_near_powers(self):
+        for k in range(2, 6):
+            for n in range(300):
+                assert rational_kth_root(F(n**k), k) == n, (n, k)
+                if n >= 2:
+                    assert rational_kth_root(F(n**k + 1), k) is None, (n, k)
+                    assert rational_kth_root(F(n**k - 1), k) is None, (n, k)
 
     def test_poly(self):
         assert poly_kth_root(parse("x^2 + 2x + 1"), 2) == parse("x + 1")
