@@ -1,8 +1,11 @@
 """Chebyshev polynomials over the rationals and their composition identities.
 
-The first-kind family is defined here purely by its three-term recurrence,
-which keeps every coefficient rational and exact.  No trigonometric or
-closed-form construction is provided; the recurrence is normative.
+The first-kind family is T_1 = x, T_2 = 2x^2 - 1, T_n = 2x T_{n-1} - T_{n-2}.
+It is computed by the doubling identities T_{2k} = 2 T_k^2 - 1 and
+T_{2k+1} = 2 T_k T_{k+1} - x, which follow from
+2 T_m T_n = T_{m+n} + T_{|m-n|}.  They keep every coefficient rational and
+exact, and the recursion is only log2(n) deep.  No trigonometric or
+closed-form construction is provided.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .poly import Polynomial, Unit, X, compose_all
 
 @lru_cache(maxsize=None)
 def chebyshev(n: int) -> Polynomial:
-    """T_n by the recurrence T_1 = x, T_2 = 2x^2 - 1, T_n = 2x T_{n-1} - T_{n-2}.
+    """T_n, by T_{2k} = 2 T_k^2 - 1 and T_{2k+1} = 2 T_k T_{k+1} - x.
 
     deg T_n = n and the leading coefficient is 2^(n-1).  Raises for n < 1.
     """
@@ -23,9 +26,10 @@ def chebyshev(n: int) -> Polynomial:
         raise ValueError("Chebyshev index must be at least 1")
     if n == 1:
         return X
-    if n == 2:
-        return Polynomial([-1, 0, 2])
-    return 2 * X * chebyshev(n - 1) - chebyshev(n - 2)
+    k, odd = divmod(n, 2)
+    if odd:
+        return 2 * chebyshev(k) * chebyshev(k + 1) - X
+    return 2 * chebyshev(k) * chebyshev(k) - 1
 
 
 def extract_odd_base(p: Polynomial) -> Polynomial:

@@ -10,6 +10,7 @@ R the honest answer is Undetermined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,10 +44,7 @@ class ShapeClass:
         if self.tag == "Q":
             body = Polynomial.monomial(self.s)
             if self.variant == "power-inside":
-                inflated = Polynomial(
-                    _inflate(self.witness_g.coeffs, self.prime)
-                )
-                return body * inflated
+                return body * self.witness_g.compose(Polynomial.monomial(self.prime))
             return body * self.witness_g**self.prime
         raise ValueError(f"no witness core for tag {self.tag}")
 
@@ -80,25 +78,11 @@ class ShapeClass:
         return out
 
 
-def _inflate(coeffs, l: int) -> list[Fraction]:
-    """Coefficients of g(x^l) from those of g."""
-    out = [Fraction(0)] * ((len(coeffs) - 1) * l + 1)
-    for i, c in enumerate(coeffs):
-        out[i * l] = c
-    return out
-
-
-def _forced_center(p: Polynomial) -> Fraction:
-    """The only shift that can kill the subleading coefficient."""
-    n = p.degree
-    return -p[n - 1] / (n * p.lead)
-
-
 def _try_power(p: Polynomial) -> Optional[ShapeClass]:
     n = p.degree
     if not is_probable_prime(n):
         return None
-    lam = _forced_center(p)
+    lam = p.forced_center()
     if p.shift_arg(lam) - p(lam) != Polynomial.monomial(n, p.lead):
         return None
     return ShapeClass(
@@ -121,15 +105,13 @@ def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
     detection is complete over the rationals.
     """
     n = p.degree
-    lam = _forced_center(p)
+    lam = p.forced_center()
     q = p.shift_arg(lam) - p(lam)
     support = q.support()
     s = support[0]
     diffs = [e - s for e in support[1:]]
     if not diffs:
         return None
-    import math
-
     spread = math.gcd(*diffs)
     if spread < 2:
         return None
@@ -217,8 +199,6 @@ def _try_power_outside(p: Polynomial) -> Optional[ShapeClass]:
             others = [e for e in mults if e != s]
             if not others:
                 continue
-            import math
-
             shared = math.gcd(*others)
             for l in range(2, shared + 1):
                 if shared % l or not is_probable_prime(l) or s % l == 0:

@@ -415,14 +415,6 @@ class MoveResult:
         }
 
 
-def _substitute_power(g: Polynomial, k: int) -> Polynomial:
-    """g(x^k)."""
-    coeffs = [Fraction(0)] * (k * g.degree + 1)
-    for i, c in enumerate(g.coeffs):
-        coeffs[k * i] = c
-    return Polynomial(coeffs)
-
-
 def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
     """True when p = u1 after T_k after u2 for degree-1 maps over some
     field extension, k = deg p odd.
@@ -435,8 +427,7 @@ def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
     k = p.degree
     if k < 3 or k % 2 == 0:
         return False
-    center = -p[k - 1] / (k * p.lead)
-    dep = p.shift_arg(center)
+    dep = p.shift_arg(p.forced_center())
     even, odd = dep.even_odd_split()
     if not even.is_constant or odd.is_zero:
         return False
@@ -491,7 +482,7 @@ def _head_shift(s: int, g: Polynomial, p: int) -> Fraction:
 
 def _tail_scale_shift(s: int, g: Polynomial, p: int, mu: Fraction) -> Fraction:
     """Shift delta making (x^s g(x^p))(mu x + mu delta) critical at 0."""
-    inner = _substitute_power(g, p) * Polynomial.monomial(s)
+    inner = g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s)
     if s >= 2:
         return Fraction(0)
     roots = sorted(rational_roots(inner.derivative()))
@@ -551,7 +542,7 @@ def _recover_power_composite(w: Polynomial, p: int):
     if any(e % p != s % p for e in w.support()):
         return None
     g = Polynomial(w.coeffs[s::p])
-    assert _substitute_power(g, p) * Polynomial.monomial(s) == w
+    assert g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s) == w
     return s, g
 
 
@@ -569,8 +560,7 @@ def _move_power_inward(fs: list[Polynomial], i: int):
     if gcd(p, pnext.degree) != 1:
         raise PatternMismatchError("factor degrees are not coprime")
     terminal = i + 1 == len(fs) - 1
-    n = pnext.degree
-    center = -pnext[n - 1] / (n * pnext.lead)
+    center = pnext.forced_center()
     w = pnext.shift_arg(center)
     nu = -center
     if terminal and nu != 0:
@@ -640,7 +630,7 @@ def _move_power_outward(fs: list[Polynomial], i: int):
             f"the right factor's scale has no rational {p}-th root"
         )
     new_outer = Polynomial.monomial(p, pi.lead) + beta
-    inner_core = _substitute_power(g, p) * Polynomial.monomial(s)
+    inner_core = g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s)
     terminal = i + 1 == len(fs) - 1
     if terminal:
         fs[i] = new_outer

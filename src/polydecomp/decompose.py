@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, Unit, compose_all
+from .poly import Polynomial, Unit, _integer_form, compose_all
 from .roots import divisors
 
 
@@ -25,12 +25,12 @@ class Decomposition:
     factors: tuple[Polynomial, ...]
     target: Polynomial
 
-    @staticmethod
-    def of(factors) -> "Decomposition":
+    @classmethod
+    def of(cls, factors) -> "Decomposition":
         fs = tuple(factors)
         if not fs:
             raise ValueError("a decomposition needs at least one factor")
-        return Decomposition(fs, compose_all(fs))
+        return cls(fs, compose_all(fs))
 
     @property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -144,15 +144,16 @@ def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] 
     """
     d = h.degree
     n = ahat.degree
-    e = math.lcm(*(c.denominator for c in h.coeffs))
+    hi, e = _integer_form(h.coeffs)
     if e.bit_length() * n > _INT_DIGITS_BIT_BUDGET:
         return _constant_digits_rational(ahat, h, m)
-    da = math.lcm(*(c.denominator for c in ahat.coeffs))
-    base = [int(h[j] * e ** (d - j)) for j in range(d + 1)]
+    ai, da = _integer_form(ahat.coeffs)
     epow = [1] * (n + 1)
     for j in range(1, n + 1):
         epow[j] = epow[j - 1] * e
-    cur = [int(ahat[j] * da * epow[n - j]) for j in range(n + 1)]
+    # h(x/e) * e^d and ahat(x/e) * da * e^n, both with integer coefficients.
+    base = [c * epow[d - j] // e for j, c in enumerate(hi)]
+    cur = [c * epow[n - j] for j, c in enumerate(ai)]
     scaled: list[int] = []
     for _ in range(m):
         qlen = len(cur) - d
@@ -342,8 +343,6 @@ def common_composite(
     """
     if a.is_constant or a.degree < 2 or b.is_constant or b.degree < 2:
         raise ValueError("common_composite needs two polynomials of degree >= 2")
-    import math
-
     target = math.lcm(a.degree, b.degree)
     if degree_bound is None:
         degree_bound = 10 * target

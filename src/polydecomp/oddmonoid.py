@@ -16,30 +16,23 @@ from math import gcd
 from typing import Optional
 
 from .chebyshev import chebyshev
-from .decompose import enumerate_classes, right_factor, scale_canonicalize
+from .decompose import (
+    Decomposition,
+    _proper_divisors,
+    enumerate_classes,
+    right_factor,
+    scale_canonicalize,
+)
 from .poly import Polynomial, compose_all
-from .roots import divisors, is_probable_prime, poly_kth_root, rational_kth_root
+from .roots import is_probable_prime, poly_kth_root, rational_kth_root
 
 
 def is_odd(p: Polynomial) -> bool:
     return p.is_odd_function
 
 
-@dataclass(frozen=True)
-class OddDecomposition:
-    factors: tuple[Polynomial, ...]
-    target: Polynomial
-
-    @staticmethod
-    def of(factors) -> "OddDecomposition":
-        fs = tuple(factors)
-        if not fs:
-            raise ValueError("a decomposition needs at least one factor")
-        return OddDecomposition(fs, compose_all(fs))
-
-    @property
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(f.degree for f in self.factors)
+class OddDecomposition(Decomposition):
+    """A decomposition whose factors all lie in the odd monoid."""
 
     def verify(self) -> bool:
         return all(is_odd(f) for f in self.factors) and (
@@ -107,9 +100,7 @@ def is_irreducible_in_O(a: Polynomial) -> bool:
     if a.is_constant or a.degree < 2:
         raise ValueError("is_irreducible_in_O expects degree >= 2")
     n = a.degree
-    for d in divisors(n):
-        if d == 1 or d == n:
-            continue
+    for d in _proper_divisors(n):
         split = right_factor(a, d)
         if split is None:
             continue

@@ -160,12 +160,6 @@ def parse(text: str) -> Polynomial:
     return _Parser(text).parse()
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_poly(p: Polynomial) -> str:
     """Deterministic text form, descending powers; round-trips through parse."""
     if p.is_zero:
@@ -177,10 +171,10 @@ def format_poly(p: Polynomial) -> str:
             continue
         mag = abs(c)
         if exp == 0:
-            body = _fmt_fraction(mag)
+            body = str(mag)
         else:
             xp = "x" if exp == 1 else f"x^{exp}"
-            body = xp if mag == 1 else f"{_fmt_fraction(mag)}*{xp}"
+            body = xp if mag == 1 else f"{mag}*{xp}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -189,7 +183,7 @@ def format_poly(p: Polynomial) -> str:
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    return {"coeffs": [_fmt_fraction(c) for c in p.coeffs]}
+    return {"coeffs": [str(c) for c in p.coeffs]}
 
 
 def poly_from_json(obj: object) -> Polynomial:

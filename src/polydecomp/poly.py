@@ -85,22 +85,20 @@ def _int_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Clear denominators: (ints, den) with coeffs[i] == ints[i] / den.
+
+    den is the lcm of the denominators, so it is 1 for integer input.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _mul_coeffs(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
-    la, lb = len(a), len(b)
-    if min(la, lb) >= _PACKED_MUL_MIN_TERMS and la * lb >= _PACKED_MUL_MIN_AREA:
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        ai = [c.numerator * (da // c.denominator) for c in a]
-        bi = [c.numerator * (db // c.denominator) for c in b]
-        den = da * db
-        return [Fraction(n, den) for n in _int_mul_packed(ai, bi)]
-    out = [Fraction(0)] * (la + lb - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+    ai, da = _integer_form(a)
+    bi, db = _integer_form(b)
+    den = da * db
+    return [Fraction(n, den) for n in _int_conv(ai, bi)]
 
 
 @dataclass(frozen=True)
@@ -271,15 +269,12 @@ class Polynomial:
         Runs on denominator-cleared integer vectors, so each Horner step
         is a single integer convolution rather than Fraction arithmetic.
         """
-        if self.is_constant or inner.is_constant:
-            acc = Polynomial()
-            for c in reversed(self.coeffs):
-                acc = acc * inner + c
-            return acc
-        dg = math.lcm(*(c.denominator for c in self.coeffs))
-        dh = math.lcm(*(c.denominator for c in inner.coeffs))
-        outer = [c.numerator * (dg // c.denominator) for c in self.coeffs]
-        hint = [c.numerator * (dh // c.denominator) for c in inner.coeffs]
+        if self.is_constant:
+            return self
+        if inner.is_constant:
+            return Polynomial.const(self(inner[0]))
+        outer, dg = _integer_form(self.coeffs)
+        hint, dh = _integer_form(inner.coeffs)
         acc = [outer[-1]]
         dhpow = 1
         for k in range(len(outer) - 2, -1, -1):
@@ -297,18 +292,7 @@ class Polynomial:
         lam = _frac(lam)
         if lam == 0:
             return self
-        acc: list[Fraction] = []
-        for c in reversed(self.coeffs):
-            # multiply acc by (x + lam), then add c
-            nxt = [Fraction(0)] + acc
-            for i in range(len(acc)):
-                nxt[i] += acc[i] * lam
-            if nxt:
-                nxt[0] += c
-            else:
-                nxt = [c]
-            acc = nxt
-        return Polynomial(acc)
+        return self.compose(Polynomial((lam, 1)))
 
     def scale_arg(self, mu: Scalar) -> "Polynomial":
         """self(mu * x)."""
@@ -349,6 +333,11 @@ class Polynomial:
         if any(c and i % k for i, c in enumerate(self.coeffs)):
             return None
         return Polynomial(self.coeffs[::k])
+
+    def forced_center(self) -> Fraction:
+        """The only shift lam for which self(x + lam) has no x^(n-1) term."""
+        n = self.degree
+        return -self[n - 1] / (n * self.lead)
 
     def canonical_core(self) -> tuple["Unit", "Polynomial"]:
         """Write self = u (after) core with core monic and core(0) = 0.
@@ -410,7 +399,7 @@ class Unit:
 
     def apply_right(self, p: Polynomial) -> Polynomial:
         """p . self, i.e. p(scale*x + shift)."""
-        return p.shift_arg(self.shift).scale_arg(self.scale)
+        return p.compose(self.as_poly())
 
 
 def compose_all(factors: Sequence[Polynomial]) -> Polynomial:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, _integer_form
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -55,8 +55,7 @@ def divisors(n: int) -> list[int]:
 
 
 def _primitive_integer_form(p: Polynomial) -> list[int]:
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints, _ = _integer_form(p.coeffs)
     content = math.gcd(*ints)
     return [c // content for c in ints]
 

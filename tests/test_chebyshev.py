@@ -3,7 +3,8 @@
 The independent oracle is the closed form on the rational one-parameter
 family x = (t + 1/t)/2, where the degree-n member takes the value
 (t^n + 1/t^n)/2. That identity pins every coefficient without using the
-recurrence the implementation runs on.
+doubling formulas the implementation runs on; the three-term recurrence,
+run iteratively, is a second oracle.
 """
 
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ import pytest
 from polydecomp.chebyshev import chebyshev, chebyshev_reduction_identities, extract_odd_base
 from polydecomp.decompose import enumerate_classes
 from polydecomp.parsing import parse
+from polydecomp.poly import ONE, X
 from polydecomp.roots import poly_gcd
 
 
@@ -57,6 +59,13 @@ def test_composition_law():
         for n in range(2, 9):
             if m * n <= 60:
                 assert chebyshev(m).compose(chebyshev(n)) == chebyshev(m * n)
+
+
+def test_matches_three_term_recurrence():
+    prev, cur = ONE, X  # T_0, T_1
+    for n in range(1, 301):
+        assert chebyshev(n) == cur
+        prev, cur = cur, 2 * X * cur - prev
 
 
 def test_commuting_family():

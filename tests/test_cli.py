@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import polydecomp.cli as cli
+from polydecomp.parsing import parse
 
 
 def run(argv):
@@ -27,6 +28,13 @@ class TestBasics:
         code, out, _ = run(["cheb", "3", "--format", "text"])
         assert code == 0
         assert out == "4*x^3 - 3*x\n"
+
+    def test_cheb_deep_index(self):
+        # the recursion is log2(n) deep, so no RecursionError at n = 500
+        code, out, err = run(["cheb", "500"])
+        assert (code, err) == (0, "")
+        t = parse(out)
+        assert t.degree == 500 and t.lead == 2**499
 
     def test_parse_json(self):
         code, out, _ = run(["parse", "--poly", "x^2+1", "--format", "json"])

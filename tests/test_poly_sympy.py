@@ -1,0 +1,84 @@
+"""Products and substitutions against sympy's dense QQ polynomials.
+
+`Polynomial.__mul__`, `compose`, `shift_arg` and `Unit.apply_right` all run
+on denominator-cleared integer vectors through one convolution kernel,
+which switches to Kronecker packing once the operand area reaches
+`_PACKED_MUL_MIN_AREA`.  The inputs here have up to 40 terms, with many
+zero coefficients and mixed denominators, so both sides of that switch
+are exercised; constant operands and the zero polynomial are included.
+sympy's `Poly.mul`, `Poly.compose` and `Poly.shift` over QQ are the oracle.
+"""
+
+from fractions import Fraction as F
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+import polydecomp.poly as poly
+from polydecomp.poly import Polynomial, Unit
+
+x = sympy.Symbol("x")
+
+fracs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000)
+coeffs = st.one_of(st.just(F(0)), fracs)
+small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def rational_polys(max_terms):
+    return st.lists(coeffs, min_size=0, max_size=max_terms).map(Polynomial)
+
+
+def to_sympy(a: Polynomial) -> sympy.Poly:
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)]
+    return sympy.Poly(cs or [0], x, domain="QQ")
+
+
+def from_sympy(a: sympy.Poly) -> Polynomial:
+    return Polynomial(F(int(c.p), int(c.q)) for c in reversed(a.all_coeffs()))
+
+
+@given(a=rational_polys(40), b=rational_polys(40))
+@settings(max_examples=100, deadline=None)
+def test_mul(a, b):
+    assert a * b == from_sympy(to_sympy(a).mul(to_sympy(b)))
+
+
+@given(g=rational_polys(12), h=rational_polys(12))
+@settings(max_examples=50, deadline=None)
+def test_compose(g, h):
+    assert g.compose(h) == from_sympy(to_sympy(g).compose(to_sympy(h)))
+
+
+@given(a=rational_polys(40), lam=st.one_of(small, fracs))
+@settings(max_examples=50, deadline=None)
+def test_shift_arg(a, lam):
+    expected = to_sympy(a).shift(sympy.Rational(lam.numerator, lam.denominator))
+    assert a.shift_arg(lam) == from_sympy(expected)
+
+
+@given(a=rational_polys(40), shift=small, scale=small.filter(bool))
+@settings(max_examples=50, deadline=None)
+def test_unit_apply_right(a, shift, scale):
+    u = Unit(shift, scale)
+    assert u.apply_right(a) == from_sympy(to_sympy(a).compose(to_sympy(u.as_poly())))
+
+
+def test_fixed_edge_cases(monkeypatch):
+    packed_calls = []
+    packed = poly._int_mul_packed
+    monkeypatch.setattr(
+        poly, "_int_mul_packed", lambda a, b: packed_calls.append(1) or packed(a, b)
+    )
+    zero, seven = Polynomial(), Polynomial.const(F(7, 3))
+    sparse = Polynomial([F(1, 2)] + [0] * 30 + [F(-3, 4)])
+    # 300 terms: even the two-term shift operand reaches the packed product
+    dense = Polynomial(F(k % 11 - 5, k % 7 + 1) for k in range(300))
+    for a in (zero, seven, sparse, dense):
+        sa = to_sympy(a)
+        for b in (zero, seven, sparse, dense):
+            assert a * b == from_sympy(sa.mul(to_sympy(b)))
+        assert a.shift_arg(F(-5, 6)) == from_sympy(sa.shift(sympy.Rational(-5, 6)))
+    for g in (zero, seven, sparse):
+        for h in (zero, seven, sparse):
+            assert g.compose(h) == from_sympy(to_sympy(g).compose(to_sympy(h)))
+    assert packed_calls
