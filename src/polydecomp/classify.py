@@ -42,10 +42,9 @@ class ShapeClass:
         if self.tag == "P":
             return Polynomial.monomial(self.prime)
         if self.tag == "Q":
-            body = Polynomial.monomial(self.s)
             if self.variant == "power-inside":
-                return body * self.witness_g.compose(Polynomial.monomial(self.prime))
-            return body * self.witness_g**self.prime
+                return self.witness_g.inflate(self.prime, self.s)
+            return Polynomial.monomial(self.s) * self.witness_g**self.prime
         raise ValueError(f"no witness core for tag {self.tag}")
 
     def recompose(self) -> Polynomial:
@@ -135,61 +134,47 @@ def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
 def _charpoly_of_multiplication(p: Polynomial, modulus: Polynomial) -> Polynomial:
     """Characteristic polynomial of multiplication by p in Q[x]/(modulus).
 
-    Its roots are exactly p evaluated at the roots of the modulus, with the
-    same multiplicities, which for a squarefree modulus means one root per
-    modulus root.
+    Its roots are p at the roots of the modulus, with their multiplicities.
+    Newton's identities give the power sums t_i of the modulus roots; the
+    values' power sums are the traces s_k = sum_i (p^k mod modulus)_i t_i,
+    which Newton's identities turn back into coefficients.
     """
     d = modulus.degree
+    a = [c / modulus.lead for c in reversed(modulus.coeffs)]
+    t = [Fraction(d)]
+    for k in range(1, d):
+        t.append(-k * a[k] - sum(a[j] * t[k - j] for j in range(1, k)))
     reduced = p % modulus
-    cols = []
-    col = list(reduced.coeffs) + [Fraction(0)] * (d - len(reduced.coeffs))
-    cols.append(col[:d])
-    current = reduced
-    for _ in range(1, d):
-        current = (current * Polynomial([0, 1])) % modulus
-        col = list(current.coeffs) + [Fraction(0)] * (d - len(current.coeffs))
-        cols.append(col[:d])
-    # Faddeev-LeVerrier on the d x d matrix whose columns are `cols`.
-    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    coeffs = [Fraction(1)]  # leading term of the characteristic polynomial
-    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    power = Polynomial.const(1)
+    s = [Fraction(d)]
+    for _ in range(d):
+        power = (power * reduced) % modulus
+        s.append(sum(c * t[i] for i, c in enumerate(power.coeffs)))
+    coeffs = [Fraction(1)]
     for k in range(1, d + 1):
-        prod = [
-            [sum(mat[i][t] * aux[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        ck = -sum(prod[i][i] for i in range(d)) / k
-        coeffs.append(ck)
-        aux = [
-            [prod[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)
-        ]
+        coeffs.append(-sum(coeffs[j] * s[k - j] for j in range(k)) / k)
     return Polynomial(coeffs[::-1])
 
 
 def critical_value_polynomial(p: Polynomial) -> Polynomial:
-    """A polynomial in y whose roots are the critical values of p, each with
-    multiplicity equal to the total derivative-multiplicity of the critical
-    points above it.  Its degree is deg(p) - 1."""
-    _, parts = squarefree_decomposition(p.derivative())
-    out = Polynomial.const(1)
-    for e in sorted(parts):
-        out = out * _charpoly_of_multiplication(p, parts[e]) ** e
-    return out
+    """The monic polynomial in y whose roots are the critical values of p,
+    each with multiplicity equal to the total derivative-multiplicity of
+    the critical points above it: the characteristic polynomial of
+    multiplication by p modulo p'.  Its degree is deg(p) - 1."""
+    return _charpoly_of_multiplication(p, p.derivative())
 
 
-def _try_power_outside(p: Polynomial) -> Optional[ShapeClass]:
+def _try_power_outside(p: Polynomial, cv: Polynomial) -> Optional[ShapeClass]:
     """Detect p = u . [x^s g(x)^l] . (x - x0) with rational data.
 
     The additive constant of u must be a critical value b of p; rational
-    candidates are the rational roots of the critical value polynomial.
+    candidates are the rational roots of the critical value polynomial cv.
     For each, p - b is split into squarefree parts: the shape holds iff
     exactly one multiplicity class escapes divisibility by a prime l, that
     class is a single rational point (its part is linear), and the rest
     assemble into an exact l-th power.
     """
-    n = p.degree
     lc = p.lead
-    cv = critical_value_polynomial(p)
     for b in rational_roots(cv):
         _, parts = squarefree_decomposition(p - b)
         mults = sorted(e for e in parts)
@@ -244,29 +229,17 @@ def _qualifying_multiplicities(n: int) -> set[int]:
     return set(range(n - 1 - delta_max, n))
 
 
-def _has_irrational_real_candidate(p: Polynomial) -> bool:
-    """True when the critical value polynomial has an irrational real root
-    whose multiplicity a power-outside shape could produce."""
-    n = p.degree
-    qualifying = _qualifying_multiplicities(n)
-    cv = critical_value_polynomial(p)
+def _has_irrational_real_candidate(cv: Polynomial) -> bool:
+    """True when the critical value polynomial cv has an irrational real
+    root whose multiplicity a power-outside shape could produce.  Parts are
+    squarefree, so that means more real roots than rational ones."""
+    qualifying = _qualifying_multiplicities(cv.degree + 1)
     _, parts = squarefree_decomposition(cv)
-    for k in sorted(parts):
-        if k not in qualifying:
-            continue
-        v = parts[k]
-        for r in rational_roots(v):
-            lin = Polynomial([-r, 1])
-            while True:
-                quo, rem = divmod(v, lin)
-                if not rem.is_zero:
-                    break
-                v = quo
-                if v.is_constant:
-                    break
-        if not v.is_constant and count_real_roots(v) > 0:
-            return True
-    return False
+    return any(
+        count_real_roots(part) > len(rational_roots(part))
+        for k, part in parts.items()
+        if k in qualifying
+    )
 
 
 def classify_shape(p: Polynomial) -> ShapeClass:
@@ -289,10 +262,11 @@ def classify_shape(p: Polynomial) -> ShapeClass:
     shape = _try_power_inside(p)
     if shape is not None:
         return shape
-    shape = _try_power_outside(p)
+    cv = critical_value_polynomial(p)
+    shape = _try_power_outside(p, cv)
     if shape is not None:
         return shape
-    if _has_irrational_real_candidate(p):
+    if _has_irrational_real_candidate(cv):
         return ShapeClass(tag="Undetermined", source=p)
     return ShapeClass(tag="R", source=p)
 

@@ -482,7 +482,7 @@ def _head_shift(s: int, g: Polynomial, p: int) -> Fraction:
 
 def _tail_scale_shift(s: int, g: Polynomial, p: int, mu: Fraction) -> Fraction:
     """Shift delta making (x^s g(x^p))(mu x + mu delta) critical at 0."""
-    inner = g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s)
+    inner = g.inflate(p, s)
     if s >= 2:
         return Fraction(0)
     roots = sorted(rational_roots(inner.derivative()))
@@ -542,7 +542,7 @@ def _recover_power_composite(w: Polynomial, p: int):
     if any(e % p != s % p for e in w.support()):
         return None
     g = Polynomial(w.coeffs[s::p])
-    assert g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s) == w
+    assert g.inflate(p, s) == w
     return s, g
 
 
@@ -630,7 +630,7 @@ def _move_power_outward(fs: list[Polynomial], i: int):
             f"the right factor's scale has no rational {p}-th root"
         )
     new_outer = Polynomial.monomial(p, pi.lead) + beta
-    inner_core = g.compose(Polynomial.monomial(p)) * Polynomial.monomial(s)
+    inner_core = g.inflate(p, s)
     terminal = i + 1 == len(fs) - 1
     if terminal:
         fs[i] = new_outer

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Polynomial, Unit, _integer_form, compose_all
-from .roots import divisors
+from .roots import _series_root, divisors
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,9 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     m = n // d
 
     outer_unit, ahat = a.canonical_core()
-    ac = ahat.coeffs
     # Reversed power series at infinity: rev[j] is the x^(n-j) coefficient.
-    rev = [ac[n - j] for j in range(d)]
-    root = [Fraction(1)] + [Fraction(0)] * (d - 1)
-    for j in range(1, d):
-        s1 = sum((j - k) * rev[j - k] * root[k] for k in range(j))
-        s2 = sum((j - k) * root[j - k] * rev[k] for k in range(1, j))
-        root[j] = (s1 - m * s2) / (m * j)
-    h_coeffs = [Fraction(0)] * (d + 1)
-    h_coeffs[d] = Fraction(1)
-    for j in range(1, d):
-        h_coeffs[d - j] = root[j]
-    h = Polynomial(h_coeffs)
+    rev = ahat.coeffs[::-1]
+    h = Polynomial([Fraction(0)] + _series_root(rev, m, d)[::-1])
 
     digits = _constant_digits(ahat, h, m)
     if digits is None:

@@ -162,8 +162,10 @@ def _match_power_pattern(
     """Match (p, q) ~ (x^t [alpha(x^2)]^s, x^s) up to scale units.
 
     q must be a monomial of odd prime degree s; p must split off exactly
-    x^t (t odd) times an s-th power of an even polynomial.  Returns
-    (s, t, alpha) with alpha(0) != 0 and alpha nonconstant.
+    x^t (t odd) times a scalar times an s-th power of an even polynomial.
+    The scalar is a scale unit, so alpha is returned monic.  Returns
+    (s, t, alpha) with alpha(0) != 0; a constant alpha is the classical
+    monomial swap x^t . x^s = x^s . x^t.
     """
     if _monomial_scale(q) is None:
         return None
@@ -174,13 +176,9 @@ def _match_power_pattern(
     if t == 0 or t % 2 == 0:
         return None
     body = Polynomial(p.coeffs[t:])
-    if body.is_constant:
-        return None
-    a_poly = poly_kth_root(body, s)
-    if a_poly is None or not a_poly.even_odd_split()[1].is_zero:
-        return None
-    alpha = a_poly.to_inner_power(2)
-    if alpha is None or alpha.is_constant or alpha[0] == 0:
+    a_poly = poly_kth_root(body * (1 / body.lead), s)
+    alpha = None if a_poly is None else a_poly.to_inner_power(2)
+    if alpha is None or alpha[0] == 0:
         return None
     return s, t, alpha
 

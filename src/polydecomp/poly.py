@@ -334,6 +334,15 @@ class Polynomial:
             return None
         return Polynomial(self.coeffs[::k])
 
+    def inflate(self, k: int, s: int) -> "Polynomial":
+        """x^s * self(x^k): coefficient j goes to exponent s + k*j, the
+        inverse of slicing ``coeffs[s::k]``."""
+        if k < 1 or s < 0:
+            raise ValueError("inflate needs k >= 1 and s >= 0")
+        out = [Fraction(0)] * (s + k * (len(self.coeffs) - 1) + 1)
+        out[s::k] = self.coeffs
+        return Polynomial(out)
+
     def forced_center(self) -> Fraction:
         """The only shift lam for which self(x + lam) has no x^(n-1) term."""
         n = self.degree

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .poly import Polynomial, _integer_form
 
@@ -327,31 +328,30 @@ def rational_kth_root(q: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+def _series_root(f: Sequence[Fraction], m: int, terms: int) -> list[Fraction]:
+    """The first `terms` coefficients of f^(1/m) for a power series with
+    f[0] = 1, from the x^(j-1) coefficients of m * f * r' = r * f'."""
+    root = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for j in range(1, terms):
+        s1 = sum((j - k) * f[j - k] * root[k] for k in range(j))
+        s2 = sum((j - k) * root[j - k] * f[k] for k in range(1, j))
+        root[j] = (s1 - m * s2) / (m * j)
+    return root
+
+
 def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
-    """The polynomial r with r**k == p, if one exists over the rationals."""
+    """The polynomial r with r**k == p, if one exists over the rationals:
+    the series root of p / lead reversed, scaled by the lead's k-th root."""
     if k < 1:
         raise ValueError("root index must be positive")
-    if k == 1:
-        return p
     if p.is_zero:
         return p
-    if p.is_constant:
-        c = rational_kth_root(p[0], k)
-        return None if c is None else Polynomial.const(c)
     n = p.degree
     if n % k:
         return None
-    d = n // k
     lead_root = rational_kth_root(p.lead, k)
     if lead_root is None:
         return None
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = lead_root
-    # Match coefficients of p from the top down; each unknown enters the
-    # expansion of r**k linearly with factor k * lead_root**(k-1).
-    pivot = k * lead_root ** (k - 1)
-    for j in range(1, d + 1):
-        partial = Polynomial(coeffs) ** k
-        coeffs[d - j] = (p[n - j] - partial[n - j]) / pivot
-    r = Polynomial(coeffs)
+    rev = [c / p.lead for c in reversed(p.coeffs)]
+    r = Polynomial(_series_root(rev, k, n // k + 1)[::-1]) * lead_root
     return r if r**k == p else None

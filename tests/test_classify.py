@@ -1,8 +1,9 @@
 """Shape taxonomy for indecomposable factors and the per-class counters.
 
-critical_value_polynomial results were frozen from an independent
-resultant computation (eliminate x from {p(x) - y, p'(x)}) in a computer
-algebra system; the classifier itself is exercised on examples whose
+critical_value_polynomial is checked against a live oracle: sympy's
+resultant res_x(p'(x), p(x) - y), made monic, on seeded polynomials of
+degree 2-12 and on products with repeated roots; a few values are also
+frozen in CV_TABLE.  The classifier itself is exercised on examples whose
 shape is visible by hand.
 """
 
@@ -10,7 +11,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
+import polydecomp.classify as classify
 from polydecomp.classify import (
     _has_irrational_real_candidate,
     classify_shape,
@@ -146,12 +149,64 @@ def test_critical_values_are_roots():
         assert cv(q(t)) == 0
 
 
+def sympy_critical_value_polynomial(p):
+    x, y = sympy.symbols("x y")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+    res = sympy.Poly(sympy.resultant(sympy.diff(expr, x), expr - y, x), y, domain="QQ")
+    return Polynomial(F(int(c.p), int(c.q)) for c in reversed(res.monic().all_coeffs()))
+
+
+def _oracle_cases():
+    rng = random.Random(29)
+    cases = []
+    for deg in range(2, 13):
+        for _ in range(3):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+            cases.append(Polynomial(coeffs + [F(rng.choice((1, -1, 2, 3)), rng.randint(1, 4))]))
+    # repeated roots of p give repeated critical points
+    for _ in range(4):
+        low = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        cases.append(parse("x^2") * parse("x + 1") ** 3 * Polynomial(low + [F(1)]))
+    cases.append(parse("x^7"))
+    cases.append(parse("x^2 - 2") ** 3 * parse("x"))
+    cases.append(parse("2x - 1") ** 4 * parse("x^2 + 1") ** 2)
+    return cases
+
+
+@pytest.mark.parametrize("p", _oracle_cases(), ids=str)
+def test_critical_value_polynomial_matches_resultant(p):
+    assert critical_value_polynomial(p) == sympy_critical_value_polynomial(p)
+
+
+@pytest.mark.parametrize(
+    "src,tag,calls",
+    [
+        ("x^5", "P", 0),
+        ("x^5 + x^3", "Q", 0),
+        ("x^5 + 2x^4 + x^3", "Q", 1),
+        ("x^5 + x^4 + x", "R", 1),
+    ],
+)
+def test_classify_computes_critical_values_at_most_once(monkeypatch, src, tag, calls):
+    seen = []
+
+    def counted(p):
+        seen.append(p)
+        return critical_value_polynomial(p)
+
+    monkeypatch.setattr(classify, "critical_value_polynomial", counted)
+    assert classify_shape(parse(src)).tag == tag
+    assert len(seen) == calls
+
+
 class TestIrrationalCandidates:
     def test_present(self):
-        assert _has_irrational_real_candidate(parse("3x^5 - 20x^3 + 60x"))
+        cv = critical_value_polynomial(parse("3x^5 - 20x^3 + 60x"))
+        assert _has_irrational_real_candidate(cv)
 
     def test_absent(self):
-        assert not _has_irrational_real_candidate(parse("x^5 + x^4 + x"))
+        cv = critical_value_polynomial(parse("x^5 + x^4 + x"))
+        assert not _has_irrational_real_candidate(cv)
 
 
 class TestInvariants:

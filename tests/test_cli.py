@@ -113,6 +113,19 @@ class TestOddCommands:
         assert payload["irreducible"] is False
         assert payload["classes"] == [["x^3", "x^3"]]
 
+    @pytest.mark.parametrize(
+        "poly,kind",
+        [
+            ("x^15", "b"),
+            ("2x^65 + 10x^55 + 20x^45 + 20x^35 + 10x^25 + 2x^15", "c"),
+            ("3x^21 - 9/2 x^15 + 9/4 x^9 - 3/8 x^3", "c"),
+        ],
+    )
+    def test_analyze_power_swaps(self, poly, kind):
+        code, out, _ = run(["odd", "analyze", "--poly", poly])
+        assert code == 0
+        assert out.splitlines()[-1] == f"swap 0,1: kind {kind}"
+
     def test_analyze_rejects_even(self):
         code, _, err = run(["odd", "analyze", "--poly", "x^4"])
         assert code == 2

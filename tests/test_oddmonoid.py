@@ -113,6 +113,28 @@ class TestSwapFamilies:
         assert r.t == 1
         assert r.alpha == parse("x + 1")
 
+    def test_monomial_swap(self):
+        # x^3 . x^5 = x^5 . x^3 is the power pattern with alpha = 1
+        r = classify_odd_swap(parse("x^3"), parse("x^5"), parse("x^5"), parse("x^3"))
+        assert (r.kind, r.s, r.t, r.alpha) == ("b", 5, 3, parse("1"))
+
+    def test_power_pattern_with_scaled_lead(self):
+        # 2x^3 (x^2 + 1)^5 . x^5 = 2x^5 . (x^13 + x^3): the lead 2 is a scale
+        # unit and need not be a fifth power
+        p, q = parse("2x^5"), parse("x^13 + x^3")
+        p_star = parse("2x^13 + 10x^11 + 20x^9 + 20x^7 + 10x^5 + 2x^3")
+        q_star = parse("x^5")
+        r = classify_odd_swap(p, q, p_star, q_star)
+        assert (r.kind, r.s, r.t, r.alpha) == ("c", 5, 3, parse("x + 1"))
+
+    def test_swap_from_odd_classes(self):
+        # both classes of -3x^3 . (-x^7 + x/2) as decompose_in_O returns them
+        a = parse("-3x^3").compose(parse("-x^7 + 1/2 x"))
+        classes = decompose_in_O(a)
+        assert [c.degree_sequence for c in classes] == [(3, 7), (7, 3)]
+        r = classify_odd_swap(*classes[0].factors, *classes[1].factors)
+        assert (r.kind, r.s, r.t, r.alpha) == ("c", 3, 1, parse("x - 1/2"))
+
     def test_chebyshev_family(self):
         r = classify_odd_swap(chebyshev(3), chebyshev(5), chebyshev(5), chebyshev(3))
         assert r.kind == "a"

@@ -204,6 +204,19 @@ class TestStructure:
         assert p("x^6 - 2x^3 + 5").to_inner_power(3) == p("x^2 - 2x + 5")
         assert p("x^3 + x^2").to_inner_power(2) is None
 
+    @given(a=polys, k=st.integers(min_value=1, max_value=6), s=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60)
+    def test_inflate(self, a, k, s):
+        got = a.inflate(k, s)
+        assert got == Polynomial.monomial(s) * a.compose(Polynomial.monomial(k))
+        assert Polynomial(got.coeffs[s::k]) == a
+
+    def test_inflate_rejects_bad_exponents(self):
+        with pytest.raises(ValueError):
+            p("x + 1").inflate(0, 1)
+        with pytest.raises(ValueError):
+            p("x + 1").inflate(2, -1)
+
     def test_shift_scale_arg(self):
         q = p("x^2")
         assert q.shift_arg(F(1)) == p("x^2 + 2x + 1")

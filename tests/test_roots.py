@@ -275,6 +275,20 @@ class TestKthRoots:
         assert poly_kth_root(parse("x^2 + 1"), 2) is None
         assert poly_kth_root(parse("x^6"), 3) == parse("x^2")
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_poly_near_powers(self, k):
+        rng = random.Random(k)
+        for _ in range(10):
+            deg = rng.randint(1, 8)
+            coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)]
+            q = Polynomial(coeffs + [F(rng.choice((1, -2, 3)))])
+            for target in (q**k, q.scale_arg(3) ** k):
+                r = poly_kth_root(target, k)
+                assert r**k == target
+                assert r.lead == rational_kth_root(target.lead, k)
+            assert poly_kth_root(q**k + 1, k) is None
+            assert poly_kth_root(q**k * 2, k) is None
+
     @given(
         q=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=2, max_size=4).map(Polynomial),
         k=st.integers(min_value=2, max_value=4),
