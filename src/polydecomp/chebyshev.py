@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, Unit, X, compose_all
+from .poly import Polynomial, Unit, X
+from .roots import is_probable_prime
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +31,46 @@ def chebyshev(n: int) -> Polynomial:
     if odd:
         return 2 * chebyshev(k) * chebyshev(k + 1) - X
     return 2 * chebyshev(k) * chebyshev(k) - 1
+
+
+def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
+    """True when p = u1 after T_k after u2 for degree-1 maps over some
+    field extension, k = deg p odd.
+
+    Depressing p at the forced center strips the shifts; what remains must
+    be mu1 * T_k(mu2 * x) plus a constant.  Only mu2^2 and mu1*mu2 are
+    visible rationally, so the test works with those combinations and never
+    needs mu2 itself: over Q this is the Dickson form D_k(x, a) up to units.
+    """
+    k = p.degree
+    if k < 3 or k % 2 == 0:
+        return False
+    dep = p.shift_arg(p.forced_center())
+    even, odd = dep.even_odd_split()
+    if not even.is_constant or odd.is_zero:
+        return False
+    t = chebyshev(k)
+    if odd[k - 2] == 0:
+        return False
+    m = (odd[k] * t[k - 2]) / (odd[k - 2] * t[k])
+    if m == 0:
+        return False
+    nu = odd[k] / (t[k] * m ** ((k - 1) // 2))
+    model = Polynomial(
+        [
+            nu * t[j] * m ** ((j - 1) // 2) if j % 2 == 1 else Fraction(0)
+            for j in range(k + 1)
+        ]
+    )
+    return model == odd
+
+
+def _dressed_odd_chebyshev_degree(p: Polynomial) -> int | None:
+    """The degree, when p is a unit-dressed Chebyshev of odd prime degree."""
+    k = p.degree
+    if k < 3 or not is_probable_prime(k):
+        return None
+    return k if _has_dressed_chebyshev_shape(p) else None
 
 
 def extract_odd_base(p: Polynomial) -> Polynomial:

@@ -103,7 +103,6 @@ def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
     power test.  Everything after that is support inspection, hence the
     detection is complete over the rationals.
     """
-    n = p.degree
     lam = p.forced_center()
     q = p.shift_arg(lam) - p(lam)
     support = q.support()
@@ -115,7 +114,7 @@ def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
     if spread < 2:
         return None
     l = next(f for f in range(2, spread + 1) if spread % f == 0)
-    g = Polynomial([q[s + l * j] for j in range((n - s) // l + 1)])
+    _, g = q.deflate(l)
     shape = ShapeClass(
         tag="Q",
         source=p,

@@ -35,7 +35,6 @@ from .cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
     apply_cusp_move,
-    classify_CD,
     cusp_report,
     enumerate_A_decompositions,
     in_A,

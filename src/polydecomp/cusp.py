@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .chebyshev import chebyshev
+from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, is_indecomposable, scale_canonicalize
 from .poly import Polynomial, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
@@ -75,7 +75,7 @@ def admissible_shifts(p: Polynomial) -> tuple[Fraction, ...]:
     """
     if p.is_constant:
         raise ValueError("admissible shifts are defined for nonconstant polynomials")
-    return tuple(sorted(rational_roots(p.derivative())))
+    return rational_roots(p.derivative())
 
 
 def classify_CD(p: Polynomial) -> str:
@@ -203,12 +203,6 @@ class ADecompositions:
     @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted({len(m) for m in self.members}))
-
-    def by_length(self) -> dict[int, tuple[tuple[Polynomial, ...], ...]]:
-        out: dict[int, list] = {}
-        for m in self.members:
-            out.setdefault(len(m), []).append(m)
-        return {k: tuple(v) for k, v in sorted(out.items())}
 
     def to_json(self) -> dict:
         return {
@@ -415,46 +409,6 @@ class MoveResult:
         }
 
 
-def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
-    """True when p = u1 after T_k after u2 for degree-1 maps over some
-    field extension, k = deg p odd.
-
-    Depressing p at the forced center strips the shifts; what remains must
-    be mu1 * T_k(mu2 * x) plus a constant.  Only mu2^2 and mu1*mu2 are
-    visible rationally, so the test works with those combinations and never
-    needs mu2 itself.
-    """
-    k = p.degree
-    if k < 3 or k % 2 == 0:
-        return False
-    dep = p.shift_arg(p.forced_center())
-    even, odd = dep.even_odd_split()
-    if not even.is_constant or odd.is_zero:
-        return False
-    t = chebyshev(k)
-    if odd[k - 2] == 0:
-        return False
-    m = (odd[k] * t[k - 2]) / (odd[k - 2] * t[k])
-    if m == 0:
-        return False
-    nu = odd[k] / (t[k] * m ** ((k - 1) // 2))
-    model = Polynomial(
-        [
-            nu * t[j] * m ** ((j - 1) // 2) if j % 2 == 1 else Fraction(0)
-            for j in range(k + 1)
-        ]
-    )
-    return model == odd
-
-
-def _dressed_odd_chebyshev_degree(p: Polynomial) -> int | None:
-    """The degree, when p is a unit-dressed Chebyshev of odd prime degree."""
-    k = p.degree
-    if k < 3 or not is_probable_prime(k):
-        return None
-    return k if _has_dressed_chebyshev_shape(p) else None
-
-
 def _binomial_power_degree(p: Polynomial) -> int | None:
     """If p = a*x^q + b with q prime, return q."""
     q = p.degree
@@ -463,34 +417,21 @@ def _binomial_power_degree(p: Polynomial) -> int | None:
     return q if set(p.support()) <= {0, q} else None
 
 
-def _head_shift(s: int, g: Polynomial, p: int) -> Fraction:
-    """Smallest rational critical point of x^s * g(x)^p, preferring 0.
+def _first_critical_point(f: Polynomial, s: int, role: str) -> Fraction:
+    """Smallest rational critical point of f = x^s * (...), preferring 0.
 
-    0 works exactly when s >= 2.  Raises IrrationalRootRequiredError when
-    no rational critical point exists.
+    0 works exactly when s >= 2.  Raises IrrationalRootRequiredError,
+    naming the rewritten factor by role, when no rational critical point
+    exists.
     """
-    outer = Polynomial.monomial(s) * g**p
     if s >= 2:
         return Fraction(0)
-    roots = sorted(rational_roots(outer.derivative()))
+    roots = rational_roots(f.derivative())
     if not roots:
         raise IrrationalRootRequiredError(
-            "the rewritten outer factor has no rational critical point"
+            f"the rewritten {role} factor has no rational critical point"
         )
     return roots[0]
-
-
-def _tail_scale_shift(s: int, g: Polynomial, p: int, mu: Fraction) -> Fraction:
-    """Shift delta making (x^s g(x^p))(mu x + mu delta) critical at 0."""
-    inner = g.inflate(p, s)
-    if s >= 2:
-        return Fraction(0)
-    roots = sorted(rational_roots(inner.derivative()))
-    if not roots:
-        raise IrrationalRootRequiredError(
-            "the rewritten inner factor has no rational critical point"
-        )
-    return roots[0] / mu
 
 
 def _move_shift_transfer(fs: list[Polynomial], i: int, shift: Fraction):
@@ -533,19 +474,6 @@ def _move_chebyshev_swap(fs: list[Polynomial], i: int):
     )
 
 
-def _recover_power_composite(w: Polynomial, p: int):
-    """Given w with w(0) = 0 and support inside s + pZ, return (s, g) with
-    w = x^s g(x^p) exactly; None when the support pattern fails."""
-    if w.is_zero or w(Fraction(0)) != 0:
-        return None
-    s = w.x_valuation()
-    if any(e % p != s % p for e in w.support()):
-        return None
-    g = Polynomial(w.coeffs[s::p])
-    assert g.inflate(p, s) == w
-    return s, g
-
-
 def _move_power_inward(fs: list[Polynomial], i: int):
     """[a x^p + b, x^s g(x^p) dressed] -> the p-th power moves right.
 
@@ -568,7 +496,7 @@ def _move_power_inward(fs: list[Polynomial], i: int):
             "terminal move: the inner factor carries a trailing shift that "
             "nothing to the right can absorb"
         )
-    rec = _recover_power_composite(w, p)
+    rec = w.deflate(p)
     if rec is None:
         raise PatternMismatchError(
             "right factor is not x^s g(x^p) up to a shift unit"
@@ -577,8 +505,9 @@ def _move_power_inward(fs: list[Polynomial], i: int):
     if pnext.derivative()(0) != 0:
         raise PatternMismatchError("right factor is not critical at 0")
     a, b = pi.lead, pi[0]
-    gamma = _head_shift(s, g, p)
-    new_outer = (Polynomial.monomial(s) * g**p).shift_arg(gamma) * a + b
+    outer = (g**p).inflate(1, s)
+    gamma = _first_critical_point(outer, s, "outer")
+    new_outer = outer.shift_arg(gamma) * a + b
     new_inner = Polynomial.monomial(p) - gamma
     fs[i] = new_outer
     fs[i + 1] = new_inner
@@ -603,27 +532,19 @@ def _move_power_outward(fs: list[Polynomial], i: int):
         raise PatternMismatchError("left factor is not critical at 0")
     x0 = pnext(Fraction(0))
     beta = pi(x0)
-    lin = Polynomial([-x0, Fraction(1)])
-    body = pi - beta
-    s = 0
-    while True:
-        q, rem = divmod(body, lin)
-        if not rem.is_zero:
-            break
-        body, s = q, s + 1
-    if s == 0 or gcd(p, s) != 1:
+    w = (pi - beta).shift_arg(x0)
+    s = w.x_valuation()
+    if gcd(p, s) != 1:
         raise PatternMismatchError(
             "left factor does not vanish to a power-coprime order at the "
             "right factor's value at 0"
         )
-    ghat = poly_kth_root(body * (1 / pi.lead), p)
-    if ghat is None:
+    g = poly_kth_root(Polynomial(w.coeffs[s:]) * (1 / pi.lead), p)
+    if g is None:
         raise PatternMismatchError(
             "left factor is not lc * (x - x0)^s * G(x)^p at the right "
             "factor's value at 0"
         )
-    g = ghat.shift_arg(x0)
-    assert (lin**s * ghat**p) * pi.lead + beta == pi
     mu = rational_kth_root(pnext.lead, p)
     if mu is None:
         raise IrrationalRootRequiredError(
@@ -636,7 +557,7 @@ def _move_power_outward(fs: list[Polynomial], i: int):
         fs[i] = new_outer
         fs[i + 1] = inner_core.scale_arg(mu)
         return
-    delta = _tail_scale_shift(s, g, p, mu)
+    delta = _first_critical_point(inner_core, s, "inner") / mu
     fs[i] = new_outer
     fs[i + 1] = inner_core.scale_arg(mu).shift_arg(delta)
     fs[i + 2] = fs[i + 2] - delta

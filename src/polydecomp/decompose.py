@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, Unit, _integer_form, compose_all
+from .poly import Polynomial, _integer_form, compose_all
 from .roots import _series_root, divisors
 
 
@@ -119,25 +119,26 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     return outer_unit.apply_left(g_core), h
 
 
-# Above this many bits for the scaled coefficient size, the integer fast
-# path for digit extraction would allocate more than it saves.
-_INT_DIGITS_BIT_BUDGET = 16_000_000
-
-
 def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] | None:
     """Base-h digits of ahat when all of them are constants; else None.
 
-    ahat and h are monic with zero constant term.  The hot path substitutes
-    x -> x/e (e clearing h's denominators) and multiplies through, turning
-    the repeated division into pure integer synthetic division by a monic
-    integer polynomial: no rational normalization happens inside the loop.
+    ahat and h are monic with zero constant term.  A split forces e, the
+    lcm of h's denominators, to divide da^d, da being ahat's: da^n ahat(x/da)
+    is monic over Z, so every root of da^d h(x/da) - c, for c a root of the
+    outer factor, is an algebraic integer, and da^d h(x/da) has integer
+    coefficients.  Failing that test proves there is no split; passing it
+    bounds e by da^d, so the scaled integers below stay polynomial in the
+    input size.  The digits come from substituting x -> x/e and
+    multiplying through, which turns the repeated division into pure
+    integer synthetic division by a monic integer polynomial: no rational
+    normalization happens inside the loop.
     """
     d = h.degree
     n = ahat.degree
     hi, e = _integer_form(h.coeffs)
-    if e.bit_length() * n > _INT_DIGITS_BIT_BUDGET:
-        return _constant_digits_rational(ahat, h, m)
     ai, da = _integer_form(ahat.coeffs)
+    if pow(da, d, e):
+        return None
     epow = [1] * (n + 1)
     for j in range(1, n + 1):
         epow[j] = epow[j - 1] * e
@@ -166,21 +167,6 @@ def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] 
     for i, dig in enumerate(scaled):
         out.append(Fraction(dig, da * epow[d * (m - i)]))
     return out
-
-
-def _constant_digits_rational(
-    ahat: Polynomial, h: Polynomial, m: int
-) -> list[Fraction] | None:
-    digits: list[Fraction] = []
-    rem_poly = ahat
-    while not rem_poly.is_zero:
-        rem_poly, digit = divmod(rem_poly, h)
-        if not digit.is_constant:
-            return None
-        digits.append(digit[0])
-        if len(digits) > m + 1:
-            return None
-    return digits
 
 
 @lru_cache(maxsize=4096)

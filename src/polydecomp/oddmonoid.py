@@ -10,12 +10,11 @@ when that even part is constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .chebyshev import chebyshev
+from .chebyshev import _dressed_odd_chebyshev_degree
 from .decompose import (
     Decomposition,
     _proper_divisors,
@@ -24,7 +23,7 @@ from .decompose import (
     scale_canonicalize,
 )
 from .poly import Polynomial, compose_all
-from .roots import is_probable_prime, poly_kth_root, rational_kth_root
+from .roots import is_probable_prime, poly_kth_root
 
 
 def is_odd(p: Polynomial) -> bool:
@@ -133,29 +132,6 @@ class OddSwapResult:
         return out
 
 
-def _as_scaled_chebyshev(p: Polynomial) -> Optional[tuple[Fraction, Fraction]]:
-    """Match p = mu1 * T_n(mu2 * x) exactly; returns (mu1, mu2) or None."""
-    n = p.degree
-    t = chebyshev(n)
-    if n < 3 or p[n - 2] == 0 or t[n - 2] == 0:
-        return None
-    mu2_sq = (p[n] * t[n - 2]) / (p[n - 2] * t[n])
-    mu2 = rational_kth_root(mu2_sq, 2)
-    if mu2 is None or mu2 == 0:
-        return None
-    mu1 = p[n] / (t[n] * mu2**n)
-    if mu1 * t.scale_arg(mu2) == p:
-        return mu1, mu2
-    return None
-
-
-def _monomial_scale(p: Polynomial) -> Optional[Fraction]:
-    """If p = c * x^deg, return c."""
-    if p.is_zero or p.support() != (p.degree,):
-        return None
-    return p.lead
-
-
 def _match_power_pattern(
     p: Polynomial, q: Polynomial
 ) -> Optional[tuple[int, int, Polynomial]]:
@@ -167,10 +143,8 @@ def _match_power_pattern(
     (s, t, alpha) with alpha(0) != 0; a constant alpha is the classical
     monomial swap x^t . x^s = x^s . x^t.
     """
-    if _monomial_scale(q) is None:
-        return None
     s = q.degree
-    if s < 3 or not is_probable_prime(s):
+    if q.support() != (s,) or s < 3 or not is_probable_prime(s):
         return None
     t = p.x_valuation()
     if t == 0 or t % 2 == 0:
@@ -210,7 +184,8 @@ def classify_odd_swap(
     """Name the structural reason two O-irreducible pairs share a composite.
 
     Exactly three non-equivalent swap patterns exist for odd irreducible
-    factors of coprime degrees: (a) two Chebyshev polynomials in either
+    factors of coprime degrees: (a) two unit-dressed Chebyshev
+    polynomials of prime degrees (Dickson polynomials over Q) in either
     order, (b) a power x^s jumping right across x^t [alpha(x^2)]^s, and
     (c) the mirror of (b) with the power on the left.  Raises when the
     compositions differ, when the pairs are unit-equivalent (no swap
@@ -228,17 +203,10 @@ def classify_odd_swap(
     if gcd(p.degree, q.degree) != 1:
         raise ValueError("no pattern: factor degrees are not coprime")
 
-    cheb_left = _as_scaled_chebyshev(p)
-    cheb_right = _as_scaled_chebyshev(q)
-    if cheb_left and cheb_right:
-        n, m = p.degree, q.degree
-        if (
-            n != m
-            and is_probable_prime(n)
-            and is_probable_prime(m)
-            and (q_star.degree, p_star.degree) == (n, m)
-        ):
-            return OddSwapResult(kind="a", n=n, m=m)
+    n = _dressed_odd_chebyshev_degree(p)
+    m = _dressed_odd_chebyshev_degree(q)
+    if n and m and (q_star.degree, p_star.degree) == (n, m):
+        return OddSwapResult(kind="a", n=n, m=m)
 
     fwd = _match_power_pattern(p, q)
     if fwd is not None and q_star.degree == p.degree and p_star.degree == q.degree:

@@ -343,6 +343,16 @@ class Polynomial:
         out[s::k] = self.coeffs
         return Polynomial(out)
 
+    def deflate(self, k: int) -> "tuple[int, Polynomial] | None":
+        """The inverse of ``inflate``: (s, g) with self = x^s * g(x^k) and
+        g(0) != 0, or None when the support leaves the class s + kZ."""
+        if k < 1:
+            raise ValueError("deflate needs k >= 1")
+        s = self.x_valuation()
+        if any(c and (i - s) % k for i, c in enumerate(self.coeffs)):
+            return None
+        return s, Polynomial(self.coeffs[s::k])
+
     def forced_center(self) -> Fraction:
         """The only shift lam for which self(x + lam) has no x^(n-1) term."""
         n = self.degree

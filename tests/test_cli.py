@@ -126,6 +126,17 @@ class TestOddCommands:
         assert code == 0
         assert out.splitlines()[-1] == f"swap 0,1: kind {kind}"
 
+    def test_analyze_dickson_swap(self):
+        # (8x^3 - 3x) . (64x^5 - 40x^3 + 5x), T_3 and T_5 conjugated by
+        # x -> sqrt(2) x
+        poly = (
+            "2097152*x^15 - 3932160*x^13 + 2949120*x^11 - 1126400*x^9"
+            " + 230400*x^7 - 24192*x^5 + 1120*x^3 - 15*x"
+        )
+        code, out, _ = run(["odd", "analyze", "--poly", poly])
+        assert code == 0
+        assert out.splitlines()[-1] == "swap 0,1: kind a"
+
     def test_analyze_rejects_even(self):
         code, _, err = run(["odd", "analyze", "--poly", "x^4"])
         assert code == 2
@@ -179,6 +190,27 @@ class TestCuspCommands:
         payload = json.loads(out)
         assert payload["move"]["factors"] == ["x^2", "x^2 - 1/4", "x^2 + 1/2"]
         assert payload["move"]["in_A"] == [True, True, True]
+
+
+    @pytest.mark.parametrize(
+        "polys,kind,code,stdout,stderr",
+        [
+            (["x^3+3x^2-4", "x^2+1"], "cc", 0, "x^2 o x^3 + 3*x\n", ""),
+            (
+                ["x^2", "x^3+3x^2-2", "x^2"], "cb", 0,
+                "x^3 - 3*x^2 + 4 o x^2 - 1 o x^2 + 1\n", "",
+            ),
+            (
+                ["x^3+3x^2-4", "x^2+1", "x^3"], "cc", 3, "",
+                "error: the rewritten inner factor has no rational critical point\n",
+            ),
+        ],
+    )
+    def test_power_moves(self, polys, kind, code, stdout, stderr):
+        argv = ["cusp", "move", "--position", "1", "--kind", kind]
+        for poly in polys:
+            argv += ["--poly", poly]
+        assert run(argv) == (code, stdout, stderr)
 
 
 class TestExitCodes:

@@ -285,6 +285,35 @@ class TestMoves:
         mv = apply_cusp_move((parse("x^5 + 2x^4 + x^3"), parse("x^2")), 1, "cc")
         assert mv.factors == (parse("x^2"), parse("x^5 + x^3"))
 
+    def test_power_outward_off_origin(self):
+        # the right factor's value at 0 is x0 = 1, and x^3 + 3x^2 - 4 is
+        # (x - 1)(x + 2)^2 there
+        mv = apply_cusp_move((parse("x^3 + 3x^2 - 4"), parse("x^2 + 1")), 1, "cc")
+        assert mv.factors == (parse("x^2"), parse("x^3 + 3x"))
+
+    def test_power_outward_irrational_inner_shift(self):
+        # non-terminal, s = 1: x^3 + 3x has no rational critical point
+        with pytest.raises(
+            IrrationalRootRequiredError,
+            match="the rewritten inner factor has no rational critical point",
+        ):
+            apply_cusp_move(
+                (parse("x^3 + 3x^2 - 4"), parse("x^2 + 1"), parse("x^3")), 1, "cc"
+            )
+
+    def test_power_inward_linear_head(self):
+        # s = 1: the inner factor is x^3 - 3x after the shift x -> x - 1,
+        # and the rewritten outer factor x (x - 3)^2 is shifted to its
+        # smallest rational critical point, 1
+        mv = apply_cusp_move(
+            (parse("x^2"), parse("x^3 + 3x^2 - 2"), parse("x^2")), 1, "cb"
+        )
+        assert mv.factors == (
+            parse("x^3 - 3x^2 + 4"),
+            parse("x^2 - 1"),
+            parse("x^2 + 1"),
+        )
+
     def test_power_inward_non_terminal(self):
         mv = apply_cusp_move((parse("x^2"), parse("x^5 + x^3"), parse("x^2")), 1, "cb")
         assert mv.factors == (
@@ -296,6 +325,9 @@ class TestMoves:
     def test_chebyshev_swap_needs_irrational_shift(self):
         with pytest.raises(IrrationalRootRequiredError):
             apply_cusp_move((chebyshev(3), chebyshev(5)), 1, "ca")
+        # T_3 and T_5 conjugated by x -> sqrt(2) x fit the same pattern
+        with pytest.raises(IrrationalRootRequiredError):
+            apply_cusp_move((parse("8x^3 - 3x"), parse("64x^5 - 40x^3 + 5x")), 1, "ca")
 
     def test_chebyshev_swap_pattern_mismatch(self):
         with pytest.raises(PatternMismatchError):

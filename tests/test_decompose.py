@@ -6,6 +6,7 @@ h with h monic, h(0) = 0) in a computer algebra system, then frozen.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,24 @@ class TestRightFactor:
             # the canonical right factor is unique, so it must be the
             # normalized form of the planted one
             assert h2 == h.canonical_core()[1]
+        # rational factors: a split forces h's denominators to divide a power
+        # of a's, and right_factor rejects early when they do not
+        for _ in range(20):
+            g = random_rational_poly(rng, rng.choice((2, 3)))
+            h = random_rational_poly(rng, rng.choice((2, 3, 4)))
+            a = g.compose(h)
+            g2, h2 = right_factor(a, h.degree)
+            assert g2.compose(h2) == a
+            assert h2 == h.canonical_core()[1]
+
+    def test_rejects_large_denominator_quickly(self):
+        # the x^59 coefficient puts a 400-bit denominator into the candidate
+        # right factor, which no split can carry
+        coeffs = [F(i % 7 - 3) for i in range(59)] + [F(1, 2**400 + 1), F(1)]
+        a = Polynomial(coeffs)
+        t0 = time.perf_counter()
+        assert right_factor(a, 30) is None
+        assert time.perf_counter() - t0 < 3.0
 
     def test_canonical_shape(self):
         g, h = right_factor(parse("x^4 + 4x^3 + 6x^2 + 4x + 7"), 2)
@@ -88,6 +107,14 @@ def random_poly(rng, degree):
     coeffs = [F(rng.randint(-3, 3)) for _ in range(degree)]
     coeffs.append(F(rng.choice((-2, -1, 1, 2, 3))))
     return Polynomial(coeffs)
+
+
+def random_rational_poly(rng, degree):
+    """Nonzero coefficients with denominators up to 2^64."""
+    def coeff():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 2**64), rng.randint(1, 2**64))
+
+    return Polynomial([coeff() for _ in range(degree + 1)])
 
 
 class TestIndecomposable:

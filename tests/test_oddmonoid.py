@@ -140,6 +140,24 @@ class TestSwapFamilies:
         assert r.kind == "a"
         assert (r.n, r.m) == (3, 5)
 
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            # T_3 and T_5 conjugated by x -> sqrt(2) x: only the square of
+            # the scale is rational, so these are Dickson polynomials
+            ("8x^3 - 3x", "64x^5 - 40x^3 + 5x"),
+            # conjugated by x -> i x: the squared scale is negative
+            ("-4x^3 - 3x", "16x^5 + 20x^3 + 5x"),
+        ],
+    )
+    def test_dickson_family(self, p, q):
+        p, q = parse(p), parse(q)
+        assert p.compose(q) == q.compose(p)
+        r = classify_odd_swap(p, q, q, p)
+        assert (r.kind, r.n, r.m) == ("a", 3, 5)
+        r = classify_odd_swap(q, p, p, q)
+        assert (r.kind, r.n, r.m) == ("a", 5, 3)
+
     def test_to_json(self):
         r = classify_odd_swap(chebyshev(3), chebyshev(5), chebyshev(5), chebyshev(3))
         assert r.to_json() == {"kind": "a", "n": 3, "m": 5}

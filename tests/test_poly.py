@@ -210,12 +210,18 @@ class TestStructure:
         got = a.inflate(k, s)
         assert got == Polynomial.monomial(s) * a.compose(Polynomial.monomial(k))
         assert Polynomial(got.coeffs[s::k]) == a
+        if not a.is_zero:
+            v = a.x_valuation()
+            assert got.deflate(k) == (s + k * v, Polynomial(a.coeffs[v:]))
 
     def test_inflate_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             p("x + 1").inflate(0, 1)
         with pytest.raises(ValueError):
             p("x + 1").inflate(2, -1)
+        with pytest.raises(ValueError):
+            p("x + 1").deflate(0)
+        assert p("x^4 + x^2").deflate(3) is None
 
     def test_shift_scale_arg(self):
         q = p("x^2")
