@@ -25,6 +25,7 @@ from .cusp import (
     MaxSkeleton,
     MoveResult,
     PatternMismatchError,
+    PostconditionError,
     admissible_shifts,
     apply_cusp_move,
     classify_CD,
@@ -73,6 +74,7 @@ __all__ = [
     "ParseError",
     "PatternMismatchError",
     "Polynomial",
+    "PostconditionError",
     "Ritt1Report",
     "RittInvariants",
     "ShapeClass",

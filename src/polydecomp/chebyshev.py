@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, Unit, X
+from .poly import MAX_DEGREE, Polynomial, Unit, X
 from .roots import is_probable_prime
 
 
@@ -21,10 +21,13 @@ from .roots import is_probable_prime
 def chebyshev(n: int) -> Polynomial:
     """T_n, by T_{2k} = 2 T_k^2 - 1 and T_{2k+1} = 2 T_k T_{k+1} - x.
 
-    deg T_n = n and the leading coefficient is 2^(n-1).  Raises for n < 1.
+    deg T_n = n and the leading coefficient is 2^(n-1).  Raises ValueError
+    for n < 1 and for n above the degree cap ``poly.MAX_DEGREE``.
     """
     if n < 1:
         raise ValueError("Chebyshev index must be at least 1")
+    if n > MAX_DEGREE:
+        raise ValueError(f"Chebyshev index {n} exceeds the degree cap {MAX_DEGREE}")
     if n == 1:
         return X
     k, odd = divmod(n, 2)

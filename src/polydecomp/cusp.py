@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
-from .decompose import enumerate_classes, is_indecomposable, scale_canonicalize
+from .decompose import enumerate_classes, scale_canonicalize
 from .poly import Polynomial, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
@@ -45,9 +45,17 @@ class IrrationalRootRequiredError(ValueError):
     not rational, such as a critical point or a k-th root of a coefficient."""
 
 
+class PostconditionError(ValueError):
+    """A computed result failed the exact check that guards it.  Raised
+    instead of an assert so the check also runs under python -O."""
+
+
 def in_A(p: Polynomial) -> bool:
-    """True when p'(0) = 0, i.e. p is critical at the origin."""
-    return p.derivative()(0) == 0
+    """True when p'(0) = 0, i.e. p is critical at the origin.
+
+    p'(0) is the coefficient of x.
+    """
+    return p[1] == 0
 
 
 def compose_in_A_criterion(a: Polynomial, b: Polynomial) -> tuple[bool, str]:
@@ -90,17 +98,21 @@ def classify_CD(p: Polynomial) -> str:
     "not-in-A": p is not critical at the origin.
 
     Raises ValueError below degree 2.
+
+    One class enumeration decides everything: p is indecomposable exactly
+    when its only class has a single factor, and by the chain rule a tail
+    is critical at 0 exactly when one of its factors is critical at the
+    value fed to it.
     """
     if p.is_constant or p.degree < 2:
         raise ValueError("classification needs degree at least 2")
     if not in_A(p):
         return "not-in-A"
-    if is_indecomposable(p):
+    classes = enumerate_classes(p)
+    if len(classes[0].factors) == 1:
         return "C"
-    for cls in enumerate_classes(p):
-        tail = compose_all(cls.factors[1:])
-        if tail.derivative()(0) == 0:
-            return "not-irreducible-in-A"
+    if any(_class_index_positions(cls.factors[1:]) for cls in classes):
+        return "not-irreducible-in-A"
     return "D"
 
 
@@ -247,7 +259,7 @@ def enumerate_A_decompositions(a: Polynomial) -> ADecompositions:
     def thread(blocks, j, lam_prev, acc):
         if j == len(blocks) - 1:
             block = blocks[j]
-            if block.derivative()(0) != 0:
+            if not in_A(block):
                 return
             dressed = block - lam_prev
             if _is_A_irreducible(dressed):
@@ -301,7 +313,8 @@ class MaxBase:
 
         shifts must pick one admissible shift per head factor.  The result
         recomposes to the target, every factor lies in A, and the tail
-        block is A-irreducible by maximality.
+        block is A-irreducible by maximality; PostconditionError is raised
+        when any of the three fails.
         """
         shifts = tuple(Fraction(s) for s in shifts)
         if len(shifts) != self.position - 1:
@@ -318,9 +331,14 @@ class MaxBase:
             lam_prev = s
         tail = compose_all(self.factors[self.position - 1 :]) - lam_prev
         out.append(tail)
-        assert compose_all(out) == self.target
-        assert all(in_A(f) for f in out)
-        assert _is_A_irreducible(tail)
+        if compose_all(out) != self.target:
+            raise PostconditionError(
+                "the instantiated factors do not recompose to the target"
+            )
+        if not all(in_A(f) for f in out):
+            raise PostconditionError("an instantiated factor is not critical at 0")
+        if not _is_A_irreducible(tail):
+            raise PostconditionError("the tail block is not A-irreducible")
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -442,7 +460,7 @@ def _move_shift_transfer(fs: list[Polynomial], i: int, shift: Fraction):
     makes the move involutive)."""
     p = fs[i]
     dp = p.derivative()
-    if dp(shift) != 0 and dp(Fraction(0)) != 0:
+    if dp(shift) != 0 and not in_A(p):
         raise PatternMismatchError(
             f"shift {shift} is not admissible for the factor at this position"
         )
@@ -502,7 +520,7 @@ def _move_power_inward(fs: list[Polynomial], i: int):
             "right factor is not x^s g(x^p) up to a shift unit"
         )
     s, g = rec
-    if pnext.derivative()(0) != 0:
+    if not in_A(pnext):
         raise PatternMismatchError("right factor is not critical at 0")
     a, b = pi.lead, pi[0]
     outer = (g**p).inflate(1, s)

@@ -7,6 +7,9 @@ Grammar (whitespace insignificant)::
     xpart    := "x" ("^" nonneg-integer)?
     rational := integer ("/" positive-integer)?
 
+Exponents above ``poly.MAX_DEGREE`` are rejected before any coefficient
+list is built.
+
 The JSON form is ``{"coeffs": ["num/den", ...]}``, ascending by exponent,
 each entry a rational in lowest terms ("/1" omitted).
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import MAX_DEGREE, Polynomial
 
 
 class ParseError(ValueError):
@@ -151,7 +154,12 @@ class _Parser:
             nxt = self.peek()
             if nxt and nxt[0] == _OP and nxt[1] == "/":
                 raise ParseError(nxt[2], "exponent must be an integer")
-            return int(evalue)
+            digits = evalue.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise ParseError(
+                    eoffset, f"exponent exceeds the degree cap {MAX_DEGREE}"
+                )
+            return int(digits)
         return 1
 
 

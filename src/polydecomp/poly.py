@@ -15,6 +15,11 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
+# The largest degree the parser and `chebyshev` build.  A dense polynomial
+# of degree n holds n + 1 coefficients, so an unchecked exponent such as
+# x^1000000000 is an unbounded allocation.
+MAX_DEGREE = 4096
+
 # Below these sizes plain convolution beats the big-int packing path.
 _PACKED_MUL_MIN_TERMS = 2
 _PACKED_MUL_MIN_AREA = 512

@@ -36,6 +36,14 @@ class TestBasics:
         t = parse(out)
         assert t.degree == 500 and t.lead == 2**499
 
+    def test_degree_cap(self):
+        code, out, err = run(["cheb", "4097"])
+        assert (code, out) == (2, "")
+        assert err == "error: Chebyshev index 4097 exceeds the degree cap 4096\n"
+        code, out, err = run(["parse", "--poly", "x^1000000000"])
+        assert (code, out) == (2, "")
+        assert "degree cap" in err
+
     def test_parse_json(self):
         code, out, _ = run(["parse", "--poly", "x^2+1", "--format", "json"])
         assert code == 0

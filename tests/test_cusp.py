@@ -6,16 +6,22 @@ worked examples are expanded by hand in the assertions so each expected
 factor list is independently checkable by multiplying out.
 """
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from polydecomp import decompose
 from polydecomp.chebyshev import chebyshev
 from polydecomp.corpus import cusp_corpus
 from polydecomp.cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
+    PostconditionError,
+    _bracketings,
     admissible_shifts,
     apply_cusp_move,
     classify_CD,
@@ -26,6 +32,7 @@ from polydecomp.cusp import (
     index_at_zero,
     max_decompositions,
 )
+from polydecomp.decompose import enumerate_classes, is_indecomposable
 from polydecomp.parsing import parse
 from polydecomp.poly import Polynomial, compose_all
 
@@ -40,6 +47,15 @@ class TestMembership:
         assert in_A(parse("7"))
         assert not in_A(parse("x^2 + x"))
         assert not in_A(parse("x^3 - 3x"))
+
+    @given(
+        st.lists(
+            st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=8)),
+            max_size=7,
+        ).map(Polynomial)
+    )
+    def test_in_A_is_derivative_at_zero(self, p):
+        assert in_A(p) == (p.derivative()(0) == 0)
 
     def test_composition_criterion_branches(self):
         assert compose_in_A_criterion(parse("x^2"), parse("x^2 + x")) == (
@@ -91,6 +107,43 @@ class TestAdmissibleShifts:
             assert q.derivative()(c) == 0
 
 
+def old_classify_CD(p):
+    """The earlier definition: a separate indecomposability test, then each
+    class tail recomposed and differentiated at 0."""
+    if p.derivative()(0) != 0:
+        return "not-in-A"
+    if is_indecomposable(p):
+        return "C"
+    for cls in enumerate_classes(p):
+        if compose_all(cls.factors[1:]).derivative()(0) == 0:
+            return "not-irreducible-in-A"
+    return "D"
+
+
+def blocks_and_dressed_blocks(a):
+    """Every block enumerate_A_decompositions cuts from a class of a, and
+    every dressing of it with the shifts that enumeration threads."""
+    out = set()
+    for cls in enumerate_classes(a):
+        fs = cls.factors
+        for spans in _bracketings(len(fs)):
+            blocks = [compose_all(fs[lo:hi]) for lo, hi in spans]
+            incoming = (F(0),)
+            for j, block in enumerate(blocks):
+                out.add(block)
+                if j == len(blocks) - 1:
+                    out.update(block - lam_prev for lam_prev in incoming)
+                    break
+                shifts = admissible_shifts(block)
+                out.update(
+                    block.shift_arg(lam) - lam_prev
+                    for lam in shifts
+                    for lam_prev in incoming
+                )
+                incoming = shifts
+    return out
+
+
 class TestClassifyCD:
     def test_c_examples(self):
         assert classify_CD(parse("x^2")) == "C"
@@ -110,6 +163,46 @@ class TestClassifyCD:
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
             classify_CD(parse("x + 1"))
+
+    def test_agrees_with_old_definition(self):
+        subjects = set()
+        for factors in cusp_corpus(seed=42, count=50):
+            a = compose_all(factors)
+            subjects.add(a)
+            if a.degree <= 64:
+                subjects |= blocks_and_dressed_blocks(a)
+        kinds = Counter()
+        for p in sorted(subjects, key=lambda q: (q.degree, q.coeffs)):
+            kind = classify_CD(p)
+            assert kind == old_classify_CD(p), p
+            kinds[kind] += 1
+        assert set(kinds) == {"C", "D", "not-irreducible-in-A", "not-in-A"}
+
+    @pytest.mark.parametrize(
+        "p,kind",
+        [
+            (parse("x^4 + 2x^3 + x^2"), "D"),
+            (A8, "not-irreducible-in-A"),
+            (DEG70, "not-irreducible-in-A"),
+        ],
+    )
+    def test_runs_each_accepted_split_once(self, p, kind, monkeypatch):
+        # A separate indecomposability test would repeat the first accepted
+        # split of p that the class enumeration makes anyway.
+        accepted = Counter()
+        real = decompose.right_factor
+
+        def counting(a, d):
+            split = real(a, d)
+            if split is not None and a == p:
+                accepted[d] += 1
+            return split
+
+        monkeypatch.setattr(decompose, "right_factor", counting)
+        decompose.is_indecomposable.cache_clear()
+        decompose.enumerate_classes.cache_clear()
+        assert classify_CD(p) == kind
+        assert accepted and set(accepted.values()) == {1}
 
 
 class TestIndexAndReport:
@@ -198,6 +291,32 @@ class TestMaxDecompositions:
         assert inst == (parse("x^2"), parse("x^2 - 1/4"), parse("x^2 + 1/2"))
         assert compose_all(inst) == A8
         assert all(in_A(f) for f in inst)
+
+    def test_instantiate_postconditions_raise_a_named_error(self):
+        base = max_decompositions(A8).bases[0]
+        shifts = (F(0), F(-1, 2))
+        cases = [
+            (
+                dataclasses.replace(base, target=base.target + 1),
+                shifts,
+                "do not recompose",
+            ),
+            (
+                dataclasses.replace(base, shift_sets=((F(1),), (F(-1, 2),))),
+                (F(1), F(-1, 2)),
+                "not critical at 0",
+            ),
+            (
+                dataclasses.replace(base, position=2, shift_sets=((F(0),),)),
+                (F(0),),
+                "not A-irreducible",
+            ),
+        ]
+        for bad, picks, message in cases:
+            with pytest.raises(PostconditionError, match=message) as info:
+                bad.instantiate(picks)
+            assert isinstance(info.value, ValueError)
+            assert not isinstance(info.value, AssertionError)
 
     def test_default_instantiations(self):
         sk = max_decompositions(A8)

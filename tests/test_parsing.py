@@ -6,13 +6,14 @@ version; the rest is grammar corner cases.
 """
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polydecomp.parsing import ParseError, format_poly, parse, poly_from_json, poly_to_json
-from polydecomp.poly import Polynomial
+from polydecomp.poly import MAX_DEGREE, Polynomial
 
 
 def random_poly(rng):
@@ -80,6 +81,23 @@ def test_equivalent_spellings(a, b):
 def test_rejects(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_degree_cap():
+    # The cap is checked on the exponent token, before the dense
+    # coefficient list exists, so a huge exponent fails at once.
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse("x^1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert info.value.offset == 2
+    assert "degree cap" in str(info.value)
+    with pytest.raises(ParseError):
+        parse(f"x^{MAX_DEGREE + 1}")
+    with pytest.raises(ParseError):
+        parse("1 + x^" + "9" * 5000)
+    assert parse(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
+    assert parse("x^" + "0" * 5000 + "7") == parse("x^7")
 
 
 def test_parse_error_carries_offset():
