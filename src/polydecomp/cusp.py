@@ -32,7 +32,7 @@ from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
-from .poly import Polynomial, compose_all
+from .poly import Polynomial, PostconditionError, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
 
@@ -43,11 +43,6 @@ class PatternMismatchError(ValueError):
 class IrrationalRootRequiredError(ValueError):
     """The move exists over the reals (or complexes) but needs data that is
     not rational, such as a critical point or a k-th root of a coefficient."""
-
-
-class PostconditionError(ValueError):
-    """A computed result failed the exact check that guards it.  Raised
-    instead of an assert so the check also runs under python -O."""
 
 
 def in_A(p: Polynomial) -> bool:
@@ -132,27 +127,10 @@ def _class_index_positions(factors: tuple[Polynomial, ...]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _index_and_bases(a: Polynomial):
-    if a.is_constant or a.degree < 2:
-        raise ValueError("index at zero needs degree at least 2")
-    if not in_A(a):
-        raise ValueError("index at zero is defined on elements critical at 0")
-    per_class = []
-    for cls in enumerate_classes(a):
-        positions = _class_index_positions(cls.factors)
-        # a in A forces at least one critical position in every class
-        assert positions, "element of A with no critical position in a class"
-        per_class.append((cls, max(positions)))
-    index = max(best for _, best in per_class)
-    bases = tuple((cls, best) for cls, best in per_class if best == index)
-    return index, bases
-
-
 def index_at_zero(a: Polynomial) -> int:
     """The largest i, over all decomposition classes, such that the i-th
     factor is critical at the point fed to it when evaluating at 0."""
-    index, _ = _index_and_bases(a)
-    return index
+    return max_decompositions(a).index
 
 
 @dataclass(frozen=True)
@@ -188,19 +166,16 @@ def cusp_report(a: Polynomial) -> CuspReport:
     and whether a maximal A-decomposition can be realized with rational
     shifts.
 
-    Raises ValueError when a is not in A or has degree below 2.
+    Raises ValueError when a is not in A or has degree below 2.  The
+    length is read off one class: all classes share it by Ritt's first
+    theorem, which ritt1_check tests.
     """
-    index, bases = _index_and_bases(a)
-    classes = enumerate_classes(a)
-    lengths = {len(cls.factors) for cls in classes}
-    assert len(lengths) == 1, "decomposition classes of unequal length"
-    length = lengths.pop()
-    realizable = any(
-        all(admissible_shifts(cls.factors[j]) for j in range(i - 1))
-        for cls, i in bases
-    )
+    sk = max_decompositions(a)
     return CuspReport(
-        degree=a.degree, length=length, index=index, rational_realizable=realizable
+        degree=a.degree,
+        length=len(sk.bases[0].factors),
+        index=sk.index,
+        rational_realizable=any(b.rational_instantiable for b in sk.bases),
     )
 
 
@@ -387,21 +362,32 @@ def max_decompositions(a: Polynomial) -> MaxSkeleton:
     The maximal length equals the index at zero; each class and critical
     position achieving it contributes one base.  A base is flagged, not
     rejected, when some head factor has no rational admissible shift.
+    Every class has a critical position: by the chain rule
+    a'(0) = prod p_i'(t_i), which vanishes for a in A.
+
+    Raises ValueError when a is not in A or has degree below 2.
     """
-    index, bases = _index_and_bases(a)
-    built = []
-    for cls, i in bases:
-        fs = cls.factors
-        built.append(
-            MaxBase(
-                target=a,
-                factors=fs,
-                position=i,
-                shift_sets=tuple(admissible_shifts(fs[j]) for j in range(i - 1)),
-            )
+    if a.is_constant or a.degree < 2:
+        raise ValueError("index at zero needs degree at least 2")
+    if not in_A(a):
+        raise ValueError("index at zero is defined on elements critical at 0")
+    per_class = [
+        (cls.factors, max(_class_index_positions(cls.factors)))
+        for cls in enumerate_classes(a)
+    ]
+    index = max(i for _, i in per_class)
+    bases = [
+        MaxBase(
+            target=a,
+            factors=fs,
+            position=i,
+            shift_sets=tuple(admissible_shifts(fs[j]) for j in range(i - 1)),
         )
-    built.sort(key=lambda b: (b.position, _member_key(b.factors)))
-    return MaxSkeleton(target=a, index=index, bases=tuple(built))
+        for fs, i in per_class
+        if i == index
+    ]
+    bases.sort(key=lambda b: _member_key(b.factors))
+    return MaxSkeleton(target=a, index=index, bases=tuple(bases))
 
 
 @dataclass(frozen=True)
@@ -622,6 +608,8 @@ def apply_cusp_move(
         _move_power_inward(fs, i)
     else:
         _move_power_outward(fs, i)
-    result = MoveResult(kind=k, position=position, factors=tuple(fs))
-    assert compose_all(result.factors) == before
-    return result
+    if compose_all(fs) != before:
+        raise PostconditionError(
+            "the moved factors do not recompose to the original composite"
+        )
+    return MoveResult(kind=k, position=position, factors=tuple(fs))

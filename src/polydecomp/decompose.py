@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, _integer_form, compose_all
+from .poly import Polynomial, PostconditionError, _integer_form, compose_all
 from .roots import _series_root, divisors
 
 
@@ -24,13 +24,6 @@ from .roots import _series_root, divisors
 class Decomposition:
     factors: tuple[Polynomial, ...]
     target: Polynomial
-
-    @classmethod
-    def of(cls, factors) -> "Decomposition":
-        fs = tuple(factors)
-        if not fs:
-            raise ValueError("a decomposition needs at least one factor")
-        return cls(fs, compose_all(fs))
 
     @property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -161,7 +154,7 @@ def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] 
             return None
         scaled.append(cur[0])
         cur = q
-    assert len(cur) == 1
+    # m rounds of d-term division leave n + 1 - m*d = 1 coefficient.
     scaled.append(cur[0])
     out = []
     for i, dig in enumerate(scaled):
@@ -357,5 +350,6 @@ def common_composite(
         alpha = alpha - shift
         beta = beta - shift
         c = c - shift
-    assert c == beta.compose(b), "linear solve produced an inconsistent witness"
+    if c != beta.compose(b):
+        raise PostconditionError("linear solve produced an inconsistent witness")
     return c, alpha, beta

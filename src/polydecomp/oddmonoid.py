@@ -1,10 +1,13 @@
 """The monoid of odd polynomials under composition.
 
 Odd polynomials (only odd-exponent terms) are closed under composition and
-form a monoid whose units are the maps x -> mu*x.  Decomposition classes of
-an odd polynomial match the general classes one-to-one once each general
-right factor is adjusted to kill its even part, which is possible exactly
-when that even part is constant.
+form a monoid O whose units are the maps x -> mu*x.  O is a reduction
+monoid: its decompositions are exactly those of K[x], moved into O by
+units.  For odd a, every canonical right factor h (monic, h(0) = 0) is
+odd, because -h(-x) is a canonical right factor of a of the same (odd)
+degree and such factors are unique; the outer factor is then odd on the
+infinite image of h, hence odd.  So the canonical classes of a already lie
+in O, and a is irreducible in O exactly when it is indecomposable.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ from math import gcd
 from typing import Optional
 
 from .chebyshev import _dressed_odd_chebyshev_degree
-from .decompose import (
-    Decomposition,
-    _proper_divisors,
-    enumerate_classes,
-    right_factor,
-    scale_canonicalize,
-)
+from .decompose import Decomposition, enumerate_classes, is_indecomposable
+from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
 from .poly import Polynomial, compose_all
 from .roots import is_probable_prime, poly_kth_root
 
@@ -39,6 +37,8 @@ class OddDecomposition(Decomposition):
         )
 
 
+# Public, and traced by perfbench/tracer.py's LAYERS; the odd classes do not
+# call it.
 def adjust_to_odd(
     g: Polynomial, h: Polynomial
 ) -> Optional[tuple[Polynomial, Polynomial]]:
@@ -57,55 +57,39 @@ def adjust_to_odd(
     if not even_part.is_constant:
         return None
     c = even_part[0]
-    g_new = g.shift_arg(c)
-    h_new = h - c
-    assert is_odd(h_new) and is_odd(g_new)
-    return g_new, h_new
+    return g.shift_arg(c), h - c
+
+
+def _check_odd_input(a: Polynomial, name: str) -> None:
+    if not is_odd(a):
+        raise ValueError(f"{name} expects an odd polynomial")
+    if a.is_constant or a.degree < 2:
+        raise ValueError(f"{name} expects degree >= 2")
 
 
 def decompose_in_O(a: Polynomial) -> tuple[OddDecomposition, ...]:
     """All decomposition classes of a within the odd monoid.
 
-    Runs the general class enumeration, then walks each class right to
-    left adjusting every right factor to odd; classes with a non-adjustable
-    factor are discarded (they admit no odd representative).  Surviving
-    factor lists are re-canonicalized with scale units.
+    These are the general classes of a, in the same order: every factor
+    of a canonical class of an odd polynomial is odd (see the module
+    docstring), and its non-leftmost factors are already monic, so no unit
+    has to be threaded and nothing is composed again.
     """
-    if not is_odd(a):
-        raise ValueError("decompose_in_O expects an odd polynomial")
-    if a.is_constant or a.degree < 2:
-        raise ValueError("decompose_in_O expects degree >= 2")
-    out = []
-    for cls in enumerate_classes(a):
-        fs = list(cls.factors)
-        ok = True
-        for i in range(len(fs) - 1, 0, -1):
-            adjusted = adjust_to_odd(fs[i - 1], fs[i])
-            if adjusted is None:
-                ok = False
-                break
-            fs[i - 1], fs[i] = adjusted
-        if not ok or not is_odd(fs[0]):
-            continue
-        out.append(OddDecomposition.of(scale_canonicalize(fs)))
-    return tuple(out)
+    _check_odd_input(a, "decompose_in_O")
+    return tuple(OddDecomposition(c.factors, a) for c in enumerate_classes(a))
 
 
+# Cached because perfbench/run.py clears and reads this cache every pass.
 @lru_cache(maxsize=1024)
 def is_irreducible_in_O(a: Polynomial) -> bool:
-    """True when no proper-degree split of a exists inside the odd monoid."""
-    if not is_odd(a):
-        raise ValueError("is_irreducible_in_O expects an odd polynomial")
-    if a.is_constant or a.degree < 2:
-        raise ValueError("is_irreducible_in_O expects degree >= 2")
-    n = a.degree
-    for d in _proper_divisors(n):
-        split = right_factor(a, d)
-        if split is None:
-            continue
-        if adjust_to_odd(*split) is not None:
-            return False
-    return True
+    """True when no proper-degree split of a exists inside the odd monoid.
+
+    A split in K[x] with a canonical right factor is already a split in
+    the odd monoid (see the module docstring), so this is
+    indecomposability.
+    """
+    _check_odd_input(a, "is_irreducible_in_O")
+    return is_indecomposable(a)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Grammar (whitespace insignificant)::
     rational := integer ("/" positive-integer)?
 
 Exponents above ``poly.MAX_DEGREE`` are rejected before any coefficient
-list is built.
+list is built, and integer literals longer than ``poly.MAX_LITERAL_DIGITS``
+digits before they are converted.
 
 The JSON form is ``{"coeffs": ["num/den", ...]}``, ascending by exponent,
 each entry a rational in lowest terms ("/1" omitted).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MAX_DEGREE, Polynomial
+from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
 
 
 class ParseError(ValueError):
@@ -59,6 +60,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             continue
         raise ParseError(i, f"unexpected character {ch!r}")
     return tokens
+
+
+def _literal(digits: str, offset: int) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            offset, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"
+        )
+    return int(digits)
 
 
 class _Parser:
@@ -123,14 +132,14 @@ class _Parser:
         kind, value, offset = self.take()
         if kind != _INT:
             raise ParseError(offset, f"expected an integer, got {value!r}")
-        num = int(value)
+        num = _literal(value, offset)
         tok = self.peek()
         if tok and tok[0] == _OP and tok[1] == "/":
             self.take()
             dkind, dvalue, doffset = self.take()
             if dkind != _INT:
                 raise ParseError(doffset, "expected a positive integer denominator")
-            den = int(dvalue)
+            den = _literal(dvalue, doffset)
             if den == 0:
                 raise ParseError(doffset, "division by zero in rational literal")
             return Fraction(num, den)

@@ -20,9 +20,20 @@ Scalar = Union[int, Fraction]
 # x^1000000000 is an unbounded allocation.
 MAX_DEGREE = 4096
 
+# The longest integer literal the parser reads, in decimal digits.  It is
+# CPython's default limit on converting a string to an int (since 3.10.7 and
+# 3.11), so a longer literal is a ParseError on every supported version, not
+# a plain ValueError on some and a silent parse on others.
+MAX_LITERAL_DIGITS = 4300
+
 # Below these sizes plain convolution beats the big-int packing path.
 _PACKED_MUL_MIN_TERMS = 2
 _PACKED_MUL_MIN_AREA = 512
+
+
+class PostconditionError(ValueError):
+    """A computed result failed the exact check that guards it.  Raised
+    instead of an assert so the check also runs under python -O."""
 
 
 def _frac(v: Scalar) -> Fraction:

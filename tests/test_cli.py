@@ -44,6 +44,11 @@ class TestBasics:
         assert (code, out) == (2, "")
         assert "degree cap" in err
 
+    def test_literal_cap(self):
+        code, out, err = run(["parse", "--poly", "9" * 4301 + "x"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: syntax error at offset 0: ")
+
     def test_parse_json(self):
         code, out, _ = run(["parse", "--poly", "x^2+1", "--format", "json"])
         assert code == 0

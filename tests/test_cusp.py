@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from polydecomp import decompose
+from polydecomp import cusp, decompose, poly
 from polydecomp.chebyshev import chebyshev
 from polydecomp.corpus import cusp_corpus
 from polydecomp.cusp import (
@@ -469,6 +469,16 @@ class TestMoves:
     def test_adm_requires_shift(self):
         with pytest.raises(ValueError):
             apply_cusp_move((parse("x^2"), parse("x^2")), 1, "adm")
+
+    def test_recomposition_check_raises_a_named_error(self, monkeypatch):
+        def drop_the_inner_shift(fs, i, shift):
+            fs[i] = fs[i].shift_arg(shift)
+
+        monkeypatch.setattr(cusp, "_move_shift_transfer", drop_the_inner_shift)
+        with pytest.raises(PostconditionError, match="do not recompose") as info:
+            apply_cusp_move((parse("x^2"), parse("x^2 + 1")), 1, "adm", F(1))
+        assert not isinstance(info.value, AssertionError)
+        assert PostconditionError is poly.PostconditionError
 
 
 class TestCorpus:

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polydecomp import decompose
 from polydecomp.decompose import (
     canonicalize,
     common_composite,
@@ -22,7 +23,7 @@ from polydecomp.decompose import (
     scale_canonicalize,
 )
 from polydecomp.parsing import parse
-from polydecomp.poly import Polynomial, Unit, compose_all
+from polydecomp.poly import Polynomial, PostconditionError, Unit, compose_all
 
 T6 = "32x^6 - 48x^4 + 18x^2 - 1"
 
@@ -253,6 +254,19 @@ class TestCommonComposite:
     def test_rejects_units(self):
         with pytest.raises(ValueError):
             common_composite(parse("x + 1"), parse("x^2"))
+
+    def test_inconsistent_witness_raises_a_named_error(self, monkeypatch):
+        real = decompose._solve_linear
+
+        def corrupt(rows, rhs):
+            sol = real(rows, rhs)
+            sol[-1] += 1  # the top coefficient of beta
+            return sol
+
+        monkeypatch.setattr(decompose, "_solve_linear", corrupt)
+        with pytest.raises(PostconditionError, match="inconsistent witness") as info:
+            common_composite(parse("x^2"), parse("x^3"))
+        assert not isinstance(info.value, AssertionError)
 
     def test_coprime_chebyshev_degrees(self):
         t3, t5 = parse("4x^3 - 3x"), parse("16x^5 - 20x^3 + 5x")

@@ -11,9 +11,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from polydecomp import decompose, oddmonoid
 from polydecomp.chebyshev import chebyshev
 from polydecomp.corpus import even_core_composites, odd_factor_pairs, shifted_odd_composites
+from polydecomp.decompose import (
+    _proper_divisors,
+    enumerate_classes,
+    is_indecomposable,
+    right_factor,
+    scale_canonicalize,
+)
 from polydecomp.oddmonoid import (
+    OddDecomposition,
     adjust_to_odd,
     classify_odd_swap,
     decompose_in_O,
@@ -30,6 +39,49 @@ def random_odd(rng, degree):
         coeffs[i] = F(rng.randint(-4, 4))
     coeffs[degree] = F(rng.choice((1, -1, 2, 3)))
     return Polynomial(coeffs)
+
+
+def old_decompose_in_O(a):
+    """The earlier definition: each class walked right to left with every
+    right factor adjusted to odd, then scale-canonicalized and composed."""
+    out = []
+    for cls in enumerate_classes(a):
+        fs = list(cls.factors)
+        ok = True
+        for i in range(len(fs) - 1, 0, -1):
+            adjusted = adjust_to_odd(fs[i - 1], fs[i])
+            if adjusted is None:
+                ok = False
+                break
+            fs[i - 1], fs[i] = adjusted
+        if not ok or not is_odd(fs[0]):
+            continue
+        fs = scale_canonicalize(fs)
+        out.append(OddDecomposition(fs, compose_all(fs)))
+    return tuple(out)
+
+
+def old_is_irreducible_in_O(a):
+    """The earlier definition: a search over every proper divisor degree
+    for a split whose right factor can be adjusted to odd."""
+    for d in _proper_divisors(a.degree):
+        split = right_factor(a, d)
+        if split is not None and adjust_to_odd(*split) is not None:
+            return False
+    return True
+
+
+def odd_composites():
+    """The odd seeded pairs, odd Chebyshev and monomial of degree 15,
+    three-factor odd chains, a Dickson pair and a power-swap composite."""
+    out = [g.compose(h) for g, h in odd_factor_pairs(seed=7, count=200)]
+    out += [chebyshev(15), parse("x^15")]
+    rng = random.Random(15)
+    for _ in range(20):
+        out.append(compose_all([random_odd(rng, rng.choice((3, 5))) for _ in range(3)]))
+    out.append(parse("8x^3 - 3x").compose(parse("64x^5 - 40x^3 + 5x")))
+    out.append((parse("x") * parse("x^2 + 1") ** 3).compose(parse("x^3")))
+    return out
 
 
 class TestMembership:
@@ -98,6 +150,53 @@ class TestDecomposeInO:
     def test_rejects_non_odd(self):
         with pytest.raises(ValueError):
             decompose_in_O(parse("x^4"))
+
+
+class TestReductionMonoid:
+    """The odd classes are the general classes, and O-irreducibility is
+    indecomposability, because canonical right factors of odd polynomials
+    are odd."""
+
+    def test_agrees_with_old_definitions(self):
+        multi = 0
+        for a in odd_composites():
+            got = decompose_in_O(a)
+            assert got == old_decompose_in_O(a), a
+            multi += len(got) > 1
+            for f in {a} | {f for d in got for f in d.factors}:
+                assert is_irreducible_in_O(f) == old_is_irreducible_in_O(f), f
+        assert multi > 0
+
+    @pytest.mark.parametrize("text", ["x^15", "x^9 + x^3"])
+    def test_no_composition_with_classes_cached(self, text, monkeypatch):
+        a = parse(text)
+        enumerate_classes(a)
+        calls = []
+        real = Polynomial.compose
+
+        def counting(self, other):
+            calls.append((self, other))
+            return real(self, other)
+
+        monkeypatch.setattr(Polynomial, "compose", counting)
+        assert decompose_in_O(a)
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["x^15", "x^9 + x^3"])
+    def test_no_split_search_with_indecomposability_cached(self, text, monkeypatch):
+        a = parse(text)
+        expected = is_indecomposable(a)
+        calls = []
+
+        def counting(p, d):
+            calls.append((p, d))
+            return right_factor(p, d)
+
+        monkeypatch.setattr(decompose, "right_factor", counting)
+        monkeypatch.setattr(oddmonoid, "right_factor", counting)
+        is_irreducible_in_O.cache_clear()
+        assert is_irreducible_in_O(a) == expected
+        assert calls == []
 
 
 class TestSwapFamilies:

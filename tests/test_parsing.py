@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polydecomp.parsing import ParseError, format_poly, parse, poly_from_json, poly_to_json
-from polydecomp.poly import MAX_DEGREE, Polynomial
+from polydecomp.poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
 
 
 def random_poly(rng):
@@ -98,6 +98,22 @@ def test_degree_cap():
         parse("1 + x^" + "9" * 5000)
     assert parse(f"x^{MAX_DEGREE} + 1").degree == MAX_DEGREE
     assert parse("x^" + "0" * 5000 + "7") == parse("x^7")
+
+
+def test_literal_cap():
+    # Checked on the token before int() runs, so an over-long literal is a
+    # ParseError at its offset rather than CPython's plain ValueError.
+    assert MAX_LITERAL_DIGITS <= 4300
+    long = "9" * (MAX_LITERAL_DIGITS + 1)
+    with pytest.raises(ParseError, match="digit cap") as info:
+        parse(long + "x^2")
+    assert info.value.offset == 0
+    with pytest.raises(ParseError, match="digit cap") as info:
+        parse("x + 3/" + long)
+    assert info.value.offset == 6
+    top = "9" * MAX_LITERAL_DIGITS
+    assert parse(top + "x^2")[2] == int(top)
+    assert parse("1/" + top)[0] == F(1, int(top))
 
 
 def test_parse_error_carries_offset():
