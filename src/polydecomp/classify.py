@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
+from .parsing import format_rational
 from .poly import Polynomial, Unit
 from .roots import (
     count_real_roots,
@@ -61,18 +62,18 @@ class ShapeClass:
         if self.s is not None:
             out["s"] = self.s
         if self.center is not None:
-            out["center"] = str(self.center)
+            out["center"] = format_rational(self.center)
         if self.witness_g is not None:
-            out["witness_g"] = [str(c) for c in self.witness_g.coeffs]
+            out["witness_g"] = [format_rational(c) for c in self.witness_g.coeffs]
         if self.outer_unit is not None:
             out["outer_unit"] = {
-                "scale": str(self.outer_unit.scale),
-                "shift": str(self.outer_unit.shift),
+                "scale": format_rational(self.outer_unit.scale),
+                "shift": format_rational(self.outer_unit.shift),
             }
         if self.inner_unit is not None:
             out["inner_unit"] = {
-                "scale": str(self.inner_unit.scale),
-                "shift": str(self.inner_unit.shift),
+                "scale": format_rational(self.inner_unit.scale),
+                "shift": format_rational(self.inner_unit.shift),
             }
         return out
 

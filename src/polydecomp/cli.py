@@ -34,6 +34,7 @@ from .corpus import (
 from .cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
+    _report_from_skeleton,
     apply_cusp_move,
     cusp_report,
     enumerate_A_decompositions,
@@ -47,7 +48,7 @@ from .decompose import (
     ritt1_check,
 )
 from .oddmonoid import classify_odd_swap, decompose_in_O, is_irreducible_in_O, is_odd
-from .parsing import ParseError, format_poly, parse
+from .parsing import ParseError, format_poly, format_rational, parse
 from .poly import Polynomial, compose_all
 
 _SUITES = ("ritt1", "invariants", "chebyshev", "odd", "cusp", "all")
@@ -115,7 +116,7 @@ def _cmd_parse(args) -> int:
     payload = {
         "poly": format_poly(p),
         "degree": p.degree,
-        "coefficients": [str(c) for c in p.coeffs],
+        "coefficients": [format_rational(c) for c in p.coeffs],
     }
     _emit(args, payload, [format_poly(p)])
     return 0
@@ -256,8 +257,8 @@ def _cmd_odd_swap(args) -> int:
 
 def _cmd_cusp_report(args) -> int:
     a = _one(args)
-    rep = cusp_report(a)
     sk = max_decompositions(a)
+    rep = _report_from_skeleton(sk)
     payload = {"report": rep.to_json(), "max_skeleton": sk.to_json()}
     lines = [
         f"degree {rep.degree}: length {rep.length}, index at zero {rep.index}, "

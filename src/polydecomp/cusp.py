@@ -32,6 +32,7 @@ from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
+from .parsing import format_rational
 from .poly import Polynomial, PostconditionError, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
@@ -170,9 +171,13 @@ def cusp_report(a: Polynomial) -> CuspReport:
     length is read off one class: all classes share it by Ritt's first
     theorem, which ritt1_check tests.
     """
-    sk = max_decompositions(a)
+    return _report_from_skeleton(max_decompositions(a))
+
+
+def _report_from_skeleton(sk: MaxSkeleton) -> CuspReport:
+    """The cusp_report of sk.target, read off its maximal skeleton."""
     return CuspReport(
-        degree=a.degree,
+        degree=sk.target.degree,
         length=len(sk.bases[0].factors),
         index=sk.index,
         rational_realizable=any(b.rational_instantiable for b in sk.bases),
@@ -196,7 +201,7 @@ class ADecompositions:
             "degree": self.target.degree,
             "lengths": list(self.lengths),
             "members": [
-                [[str(c) for c in f.coeffs] for f in m] for m in self.members
+                [[format_rational(c) for c in f.coeffs] for f in m] for m in self.members
             ],
         }
 
@@ -318,9 +323,9 @@ class MaxBase:
 
     def to_json(self) -> dict:
         return {
-            "class": [[str(c) for c in f.coeffs] for f in self.factors],
+            "class": [[format_rational(c) for c in f.coeffs] for f in self.factors],
             "position": self.position,
-            "shift_sets": [[str(s) for s in ss] for ss in self.shift_sets],
+            "shift_sets": [[format_rational(s) for s in ss] for ss in self.shift_sets],
             "degree_multiset": list(self.degree_multiset),
             "rational_instantiable": self.rational_instantiable,
         }
@@ -408,7 +413,7 @@ class MoveResult:
         return {
             "kind": self.kind,
             "position": self.position,
-            "factors": [[str(c) for c in f.coeffs] for f in self.factors],
+            "factors": [[format_rational(c) for c in f.coeffs] for f in self.factors],
             "in_A": list(self.in_A),
         }
 

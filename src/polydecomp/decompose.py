@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, PostconditionError, _integer_form, compose_all
+from .poly import Polynomial, PostconditionError, Unit, _integer_form, compose_all
 from .roots import _series_root, divisors
 
 
@@ -100,43 +100,53 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
         raise ValueError(f"degree {d} is not a proper divisor of {n}")
     m = n // d
 
-    outer_unit, ahat = a.canonical_core()
-    # Reversed power series at infinity: rev[j] is the x^(n-j) coefficient.
-    rev = ahat.coeffs[::-1]
+    # ahat = (a - a(0)) / lead is ai / da: the numerators of a with the
+    # constant cleared, made primitive with a positive lead.  Since ahat is
+    # monic, da is then exactly the lcm of ahat's denominators.
+    ai, _ = _integer_form(a.coeffs)
+    ai[0] = 0
+    content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
+    ai = [c // content for c in ai]
+    da = ai[-1]
+    # Reversed power series at infinity: rev[j] is ahat's x^(n-j)
+    # coefficient; the root reads only the first d of them.
+    rev = [Fraction(ai[n - j], da) for j in range(d)]
     h = Polynomial([Fraction(0)] + _series_root(rev, m, d)[::-1])
 
-    digits = _constant_digits(ahat, h, m)
+    digits = _constant_digits(ai, da, h, m)
     if digits is None:
         return None
-    g_core = Polynomial(digits)
-    return outer_unit.apply_left(g_core), h
+    return Unit(a[0], a.lead).apply_left(Polynomial(digits)), h
 
 
-def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] | None:
-    """Base-h digits of ahat when all of them are constants; else None.
+def _constant_digits(
+    ai: list[int], da: int, h: Polynomial, m: int
+) -> list[Fraction] | None:
+    """Base-h digits of ahat = ai / da when all of them are constants; else
+    None.
 
-    ahat and h are monic with zero constant term.  A split forces e, the
-    lcm of h's denominators, to divide da^d, da being ahat's: da^n ahat(x/da)
-    is monic over Z, so every root of da^d h(x/da) - c, for c a root of the
-    outer factor, is an algebraic integer, and da^d h(x/da) has integer
-    coefficients.  Failing that test proves there is no split; passing it
-    bounds e by da^d, so the scaled integers below stay polynomial in the
-    input size.  The digits come from substituting x -> x/e and
-    multiplying through, which turns the repeated division into pure
-    integer synthetic division by a monic integer polynomial: no rational
-    normalization happens inside the loop.
+    ahat and h are monic with zero constant term, and da is the lcm of
+    ahat's denominators.  A split forces e, the lcm of h's denominators,
+    to divide da^d: da^n ahat(x/da) is monic over Z, so every root of
+    da^d h(x/da) - c, for c a root of the outer factor, is an algebraic
+    integer, and da^d h(x/da) has integer coefficients.  Failing that test
+    proves there is no split; passing it bounds e by da^d, so the scaled
+    integers below stay polynomial in the input size.  The digits come
+    from substituting x -> x/e and multiplying through, which turns the
+    repeated division into pure integer synthetic division by a monic
+    integer polynomial: no rational normalization happens inside the loop.
     """
     d = h.degree
-    n = ahat.degree
+    n = len(ai) - 1
     hi, e = _integer_form(h.coeffs)
-    ai, da = _integer_form(ahat.coeffs)
     if pow(da, d, e):
         return None
     epow = [1] * (n + 1)
     for j in range(1, n + 1):
         epow[j] = epow[j - 1] * e
-    # h(x/e) * e^d and ahat(x/e) * da * e^n, both with integer coefficients.
-    base = [c * epow[d - j] // e for j, c in enumerate(hi)]
+    # The nonzero low taps of h(x/e) * e^d; tap 0 is h(0) = 0 and tap d is 1.
+    taps = [(j, b) for j in range(1, d) if (b := hi[j] * epow[d - j] // e)]
+    # ahat(x/e) * da * e^n, with integer coefficients.
     cur = [c * epow[n - j] for j, c in enumerate(ai)]
     scaled: list[int] = []
     for _ in range(m):
@@ -146,10 +156,8 @@ def _constant_digits(ahat: Polynomial, h: Polynomial, m: int) -> list[Fraction] 
             c = cur[k + d]
             if c:
                 q[k] = c
-                for j in range(d):
-                    bj = base[j]
-                    if bj:
-                        cur[k + j] -= c * bj
+                for j, bj in taps:
+                    cur[k + j] -= c * bj
         if any(cur[j] for j in range(1, d)):
             return None
         scaled.append(cur[0])

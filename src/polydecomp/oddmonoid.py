@@ -20,6 +20,7 @@ from typing import Optional
 from .chebyshev import _dressed_odd_chebyshev_degree
 from .decompose import Decomposition, enumerate_classes, is_indecomposable
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
+from .parsing import format_rational
 from .poly import Polynomial, compose_all
 from .roots import is_probable_prime, poly_kth_root
 
@@ -112,7 +113,7 @@ class OddSwapResult:
         if self.t is not None:
             out["t"] = self.t
         if self.alpha is not None:
-            out["alpha"] = [str(c) for c in self.alpha.coeffs]
+            out["alpha"] = [format_rational(c) for c in self.alpha.coeffs]
         return out
 
 

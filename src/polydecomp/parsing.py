@@ -12,11 +12,14 @@ list is built, and integer literals longer than ``poly.MAX_LITERAL_DIGITS``
 digits before they are converted.
 
 The JSON form is ``{"coeffs": ["num/den", ...]}``, ascending by exponent,
-each entry a rational in lowest terms ("/1" omitted).
+each entry a rational in lowest terms ("/1" omitted).  Reading it accepts
+ints and strings ``[-]digits[/digits]`` only, under the same degree and
+literal caps as the parser.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
@@ -177,8 +180,39 @@ def parse(text: str) -> Polynomial:
     return _Parser(text).parse()
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def format_rational(c: Fraction) -> str:
+    """Exact decimal text of c at any size, equal to str(c).
+
+    A numerator or denominator past the interpreter's int-to-str digit
+    limit is written in halves split by a power of ten; the limit is never
+    raised.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        pass
+    if c.denominator == 1:
+        return _int_text(c.numerator)
+    return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
+
+
 def format_poly(p: Polynomial) -> str:
-    """Deterministic text form, descending powers; round-trips through parse."""
+    """Deterministic text form, descending powers.  It round-trips through
+    parse while every coefficient's numerator and denominator stay within
+    MAX_LITERAL_DIGITS digits; longer ones are printed exactly but do not
+    parse back."""
     if p.is_zero:
         return "0"
     parts: list[str] = []
@@ -188,10 +222,10 @@ def format_poly(p: Polynomial) -> str:
             continue
         mag = abs(c)
         if exp == 0:
-            body = str(mag)
+            body = format_rational(mag)
         else:
             xp = "x" if exp == 1 else f"x^{exp}"
-            body = xp if mag == 1 else f"{mag}*{xp}"
+            body = xp if mag == 1 else f"{format_rational(mag)}*{xp}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -200,7 +234,35 @@ def format_poly(p: Polynomial) -> str:
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    return {"coeffs": [str(c) for c in p.coeffs]}
+    return {"coeffs": [format_rational(c) for c in p.coeffs]}
+
+
+_JSON_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INT_BOUND = 10**MAX_LITERAL_DIGITS
+
+
+def _json_coefficient(i: int, entry: object) -> Fraction:
+    """Entry i of a JSON coefficient list, its digit runs checked against
+    the literal cap before any is converted."""
+    m = _JSON_RATIONAL.fullmatch(entry) if isinstance(entry, str) else None
+    if m is not None:
+        num, den = m.groups()
+        too_long = len(num.lstrip("-")) > MAX_LITERAL_DIGITS or (
+            den is not None and len(den) > MAX_LITERAL_DIGITS
+        )
+    elif isinstance(entry, int) and not isinstance(entry, bool):
+        num, den = entry, None
+        too_long = not -_INT_BOUND < entry < _INT_BOUND
+    else:
+        raise ValueError(f"bad coefficient entry: {entry!r}")
+    if too_long:
+        raise ValueError(
+            f"coefficient entry {i} exceeds the {MAX_LITERAL_DIGITS}-digit cap"
+        )
+    den = 1 if den is None else int(den)
+    if den == 0:
+        raise ValueError(f"coefficient entry {i} ({entry!r}) has a zero denominator")
+    return Fraction(int(num), den)
 
 
 def poly_from_json(obj: object) -> Polynomial:
@@ -209,9 +271,6 @@ def poly_from_json(obj: object) -> Polynomial:
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise ValueError("'coeffs' must be a list of rational strings")
-    out = []
-    for entry in coeffs:
-        if isinstance(entry, bool) or not isinstance(entry, (str, int)):
-            raise ValueError(f"bad coefficient entry: {entry!r}")
-        out.append(Fraction(entry))
-    return Polynomial(out)
+    if len(coeffs) > MAX_DEGREE + 1:
+        raise ValueError(f"'coeffs' exceeds the degree cap {MAX_DEGREE}")
+    return Polynomial([_json_coefficient(i, c) for i, c in enumerate(coeffs)])

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import polydecomp.cli as cli
+import polydecomp.cusp as cusp
 from polydecomp.parsing import parse
 
 
@@ -43,6 +44,18 @@ class TestBasics:
         code, out, err = run(["parse", "--poly", "x^1000000000"])
         assert (code, out) == (2, "")
         assert "degree cap" in err
+
+    def test_prints_coefficients_past_the_str_limit(self):
+        nines = "9" * 3000
+        code, out, err = run(["compose", "--poly", f"{nines}x^2", "--poly", f"{nines}x^2"])
+        assert (code, err) == (0, "")
+        # (10^3000 - 1)^3 = 10^9000 - 3 * 10^6000 + 3 * 10^3000 - 1
+        cube = "9" * 2999 + "7" + "0" * 2999 + "2" + "9" * 2999 + "9"
+        assert out == f"{cube}*x^4\n"
+        coprime = f"{nines}/1{'0' * 2999}1"
+        code, out, _ = run(["parse", "--poly", f"{coprime} x", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["coefficients"] == ["0", coprime]
 
     def test_literal_cap(self):
         code, out, err = run(["parse", "--poly", "9" * 4301 + "x"])
@@ -182,6 +195,22 @@ class TestCuspCommands:
         assert payload["report"]["index_at_zero"] == 3
         assert payload["report"]["regular"] is True
         assert payload["max_skeleton"]["degree_multisets"] == [[2, 2, 2]]
+
+    def test_report_builds_the_skeleton_once(self, monkeypatch):
+        calls = []
+        real = cli.max_decompositions
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(cli, "max_decompositions", counting)
+        monkeypatch.setattr(cusp, "max_decompositions", counting)
+        for fmt in ("text", "json"):
+            calls.clear()
+            code, _, _ = run(["cusp", "report", "--poly", "x^8+2*x^6+x^4", "--format", fmt])
+            assert code == 0
+            assert calls == [parse("x^8+2*x^6+x^4")]
 
     def test_decs(self):
         code, out, _ = run(["cusp", "decs", "--poly", "x^8+2*x^6+x^4", "--format", "json"])

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from polydecomp import decompose
+from polydecomp.chebyshev import chebyshev
 from polydecomp.decompose import (
     canonicalize,
     common_composite,
@@ -23,7 +24,14 @@ from polydecomp.decompose import (
     scale_canonicalize,
 )
 from polydecomp.parsing import parse
-from polydecomp.poly import Polynomial, PostconditionError, Unit, compose_all
+from polydecomp.poly import (
+    Polynomial,
+    PostconditionError,
+    Unit,
+    _integer_form,
+    compose_all,
+)
+from polydecomp.roots import _series_root
 
 T6 = "32x^6 - 48x^4 + 18x^2 - 1"
 
@@ -102,6 +110,102 @@ class TestRightFactor:
         g, h = right_factor(parse("x^4 + 4x^3 + 6x^2 + 4x + 7"), 2)
         assert h.lead == 1
         assert h(0) == 0
+
+
+def old_right_factor(a, d):
+    """The earlier split: a's canonical core as Fractions, its whole
+    reversed sequence to the series root, then the denominators cleared
+    again and a digit loop that tests every tap of the scaled h."""
+    n = a.degree
+    m = n // d
+    outer_unit, ahat = a.canonical_core()
+    h = Polynomial([F(0)] + _series_root(ahat.coeffs[::-1], m, d)[::-1])
+    hi, e = _integer_form(h.coeffs)
+    ai, da = _integer_form(ahat.coeffs)
+    if pow(da, d, e):
+        return None
+    epow = [e**j for j in range(n + 1)]
+    base = [c * epow[d - j] // e for j, c in enumerate(hi)]
+    cur = [c * epow[n - j] for j, c in enumerate(ai)]
+    scaled = []
+    for _ in range(m):
+        q = [0] * (len(cur) - d)
+        for k in range(len(q) - 1, -1, -1):
+            c = cur[k + d]
+            if c:
+                q[k] = c
+                for j in range(d):
+                    if base[j]:
+                        cur[k + j] -= c * base[j]
+        if any(cur[j] for j in range(1, d)):
+            return None
+        scaled.append(cur[0])
+        cur = q
+    scaled.append(cur[0])
+    digits = [F(dig, da * epow[d * (m - i)]) for i, dig in enumerate(scaled)]
+    return outer_unit.apply_left(Polynomial(digits)), h
+
+
+def assert_matches_old_split(a):
+    for d in decompose._proper_divisors(a.degree):
+        assert right_factor(a, d) == old_right_factor(a, d), (a, d)
+
+
+class TestIntegerRightFactor:
+    """right_factor works on a's integer numerators; it must give exactly
+    the earlier split, accept or reject, at every proper divisor."""
+
+    def test_planted_rational_splits(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            g = random_rational_poly(rng, rng.choice((2, 3, 4)))
+            h = random_rational_poly(rng, rng.choice((2, 3, 4)))
+            a = g.compose(h)
+            assert right_factor(a, h.degree) is not None
+            assert_matches_old_split(a)
+            assert_matches_old_split(-a + F(1, 3))
+
+    def test_inner_factors_with_zero_taps(self):
+        rng = random.Random(19)
+        for inner in ("x^7 + x", "x^5 - 2x^2", "x^4 - x", "x^6 + 3x^3"):
+            h = parse(inner)
+            for _ in range(4):
+                g = random_rational_poly(rng, rng.choice((2, 3)))
+                a = g.compose(h)
+                assert right_factor(a, h.degree)[1] == h
+                assert_matches_old_split(a)
+
+    def test_chebyshev(self):
+        for n in range(4, 61):
+            if decompose._proper_divisors(n):
+                assert_matches_old_split(chebyshev(n))
+
+    def test_no_split(self):
+        rng = random.Random(23)
+        for degree in (4, 6, 8, 9, 12, 12, 15, 16):
+            a = random_rational_poly(rng, degree)
+            for d in decompose._proper_divisors(degree):
+                assert right_factor(a, d) is None
+            assert_matches_old_split(a)
+
+    def test_reads_numerators_not_the_canonical_core(self, monkeypatch):
+        seen = []
+        real_root = decompose._series_root
+
+        def spy_root(f, m, terms):
+            seen.append(len(f))
+            return real_root(f, m, terms)
+
+        def no_core(self):
+            raise AssertionError("right_factor built a canonical core")
+
+        monkeypatch.setattr(decompose, "_series_root", spy_root)
+        monkeypatch.setattr(Polynomial, "canonical_core", no_core)
+        a = parse("-3/2 x^12 + 5x^7 - 1/7 x^3 + 4")
+        for d in (2, 3, 4, 6):
+            right_factor(a, d)
+        assert right_factor(chebyshev(12), 4) is not None
+        assert seen == [2, 3, 4, 6, 4]
 
 
 def random_poly(rng, degree):

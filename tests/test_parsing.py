@@ -12,7 +12,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from polydecomp.parsing import ParseError, format_poly, parse, poly_from_json, poly_to_json
+from polydecomp.parsing import (
+    ParseError,
+    format_poly,
+    format_rational,
+    parse,
+    poly_from_json,
+    poly_to_json,
+)
 from polydecomp.poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
 
 
@@ -153,3 +160,85 @@ class TestJson:
     @given(st.lists(st.fractions(max_denominator=40), max_size=8).map(Polynomial))
     def test_roundtrip_property(self, q):
         assert poly_from_json(poly_to_json(q)) == q
+
+    @pytest.mark.parametrize(
+        "entry,match",
+        [
+            ("1/0", "zero denominator"),
+            ("-7/000", "zero denominator"),
+            pytest.param("9" * (MAX_LITERAL_DIGITS + 1), "digit cap", id="long-str"),
+            pytest.param("1/" + "9" * (MAX_LITERAL_DIGITS + 1), "digit cap", id="long-den"),
+            pytest.param(10**MAX_LITERAL_DIGITS, "digit cap", id="long-int"),
+            pytest.param(-(10**MAX_LITERAL_DIGITS), "digit cap", id="long-neg-int"),
+            ("1e200000", "bad coefficient"),
+            ("1.5", "bad coefficient"),
+            (" 1", "bad coefficient"),
+            ("+1", "bad coefficient"),
+            ("1/-2", "bad coefficient"),
+            ("", "bad coefficient"),
+        ],
+    )
+    def test_fails_closed(self, entry, match):
+        with pytest.raises(ValueError, match=match) as info:
+            poly_from_json({"coeffs": ["1", entry]})
+        assert type(info.value) is ValueError
+        if match == "zero denominator":
+            assert repr(entry) in str(info.value)
+
+    def test_literal_cap_is_inclusive(self):
+        big = "9" * MAX_LITERAL_DIGITS
+        assert poly_from_json({"coeffs": [big]}).lead == int(big)
+        assert poly_from_json({"coeffs": [10**MAX_LITERAL_DIGITS - 1]}).lead == int(big)
+
+    def test_degree_cap(self):
+        assert poly_from_json({"coeffs": [0] * MAX_DEGREE + [1]}).degree == MAX_DEGREE
+        with pytest.raises(ValueError, match="degree cap"):
+            poly_from_json({"coeffs": [1] * (MAX_DEGREE + 2)})
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="degree cap"):
+            poly_from_json({"coeffs": ["1"] * 200_001})
+        assert time.perf_counter() - t0 < 1.0
+
+
+def read_digits(text):
+    """int(text) for a digit string of any length, in chunks under the
+    interpreter's int-to-str limit."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+class TestExactText:
+    def test_matches_str_below_the_limit(self):
+        rng = random.Random(7)
+        for bits in (1, 60, 4000, 14000, 14200):
+            for _ in range(20):
+                c = F(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+                assert format_rational(c) == str(c)
+        assert format_rational(F(0)) == "0"
+
+    def test_any_size(self):
+        rng = random.Random(8)
+        for digits in (4300, 4301, 6000, 20000):
+            for _ in range(3):
+                num = rng.randrange(10 ** (digits - 1), 10**digits)
+                den = rng.randrange(10**digits) + 1
+                c = -F(num, den)
+                got_num, _, got_den = format_rational(c).partition("/")
+                assert F(read_digits(got_num), read_digits(got_den or "1")) == c
+        # zero runs across a split point must keep their padding
+        n = 10**10000 + 7
+        assert format_rational(F(n)) == "1" + "0" * 9999 + "7"
+
+    def test_six_thousand_digit_coefficient(self):
+        nines = 10**3000 - 1
+        text = format_poly(parse(f"{nines}x").compose(parse(f"{nines}x^2")))
+        # (10^3000 - 1)^2 = 10^6000 - 2 * 10^3000 + 1
+        assert text == "9" * 2999 + "8" + "0" * 2999 + "1*x^2"
+        assert read_digits(text[:-4]) == nines * nines
+        assert poly_to_json(parse(f"{nines}x^2") * nines) == {
+            "coeffs": ["0", "0", text[:-4]]
+        }
