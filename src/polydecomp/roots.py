@@ -1,9 +1,11 @@
 """Rational roots, polynomial gcd, squarefree parts, and real-root counts.
 
 Root finding is exact and complete over the rationals: roots of the
-squarefree part are found modulo a 62-bit prime, Hensel-lifted, and
+squarefree part are found modulo a prime below 2^30, Hensel-lifted, and
 recovered by rational reconstruction, and every candidate is verified by
-exact evaluation before it is returned.
+exact evaluation before it is returned. A polynomial that is squarefree
+modulo that prime, which does not divide its lead, is squarefree over Q,
+so the rational gcd with the derivative runs only when that test fails.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from typing import Sequence
 from .poly import Polynomial, _integer_form
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The largest prime below 2^30: every residue fits in one CPython digit.
+_FIRST_PRIME = (1 << 30) - 35
 
 
 def is_probable_prime(n: int) -> bool:
@@ -68,18 +72,22 @@ def _pm_trim(a: list[int]) -> list[int]:
 
 
 def _pm_divmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder mod q; b must be monic."""
+    """Quotient and remainder mod q; b must be monic.
+
+    The coefficients of a may be any integers: each is reduced mod q once,
+    when it leads the running remainder or when it is returned.
+    """
     a = a[:]
-    db, qt = len(b) - 1, []
-    while len(a) - 1 >= db and a:
-        c = a[-1]
+    db = len(b) - 1
+    low, qt = b[:db], []
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % q
         qt.append(c)
-        off = len(a) - 1 - db
-        for i in range(db + 1):
-            a[off + i] = (a[off + i] - c * b[i]) % q
-        a.pop()
+        if c:
+            for j, y in enumerate(low, k - db):
+                a[j] -= c * y
     qt.reverse()
-    return _pm_trim(qt), _pm_trim(a)
+    return _pm_trim(qt), _pm_trim([x % q for x in a[:db]])
 
 
 def _pm_monic(a: list[int], q: int) -> list[int]:
@@ -95,25 +103,35 @@ def _pm_gcd(a: list[int], b: list[int], q: int) -> list[int]:
     return _pm_monic(a, q) if a else a
 
 
-def _pm_mulmod(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
-    """(a * b) mod f mod q with f monic."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _pm_sqrmod(a: list[int], f: list[int], q: int) -> list[int]:
+    """a^2 mod f mod q with f monic; the raw products are summed first, and
+    each cross product a_i*a_j is formed once."""
+    if not a:
+        return []
+    out = [0] * (2 * len(a) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    _, r = _pm_divmod(_pm_trim(out), f, q)
-    return r
+            out[2 * i] += ca * ca
+            t = 2 * ca
+            for j, cb in enumerate(a[i + 1:], 2 * i + 1):
+                out[j] += t * cb
+    return _pm_divmod(out, f, q)[1]
 
 
-def _pm_powmod(base: list[int], e: int, f: list[int], q: int) -> list[int]:
+def _pm_powmod(c: int, e: int, f: list[int], q: int) -> list[int]:
+    """(x + c)^e mod f mod q with f monic, scanning e from its top bit.
+
+    Each bit costs one squaring, and each set bit one multiply by x + c:
+    a shift, a scaled add and one reduction row.
+    """
+    df = len(f) - 1
     result = [1]
-    base = base[:]
-    while e:
-        if e & 1:
-            result = _pm_mulmod(result, base, f, q)
-        base = _pm_mulmod(base, base, f, q)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _pm_sqrmod(result, f, q)
+        if bit == "1":
+            r = result + [0] * (df - len(result))
+            t, rows = r[-1], zip([0] + r, r, f)
+            result = _pm_trim([(lo + c * hi - t * y) % q for lo, hi, y in rows])
     return result
 
 
@@ -125,7 +143,7 @@ def _pm_linear_roots(g: list[int], q: int, salt: int = 1) -> list[int]:
         return [(-g[0]) % q]
     c = salt
     while True:
-        split = _pm_powmod([c % q, 1], (q - 1) // 2, g, q)
+        split = _pm_powmod(c, (q - 1) // 2, g, q)
         split = split[:] if split else [0]
         split[0] = (split[0] - 1) % q
         h = _pm_gcd(g, _pm_trim(split), q)
@@ -164,14 +182,31 @@ def _rat_reconstruct(t: int, m: int, num_bound: int, den_bound: int):
     return Fraction(r1, s1)
 
 
+def _squarefree_image(ints: list[int], q: int) -> list[int] | None:
+    """The monic image of ints mod q, or None when q divides the lead or
+    the image has a repeated factor."""
+    if ints[-1] % q == 0:
+        return None
+    fbar = _pm_monic([c % q for c in ints], q)
+    dbar = _pm_trim([i * c % q for i, c in enumerate(fbar)][1:])
+    return fbar if len(_pm_gcd(fbar, dbar, q)) == 1 else None
+
+
 def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
     """Exactly the rational roots of a nonzero polynomial, sorted.
 
     After splitting off the root 0, the roots of the squarefree part are
-    found modulo a 62-bit prime that keeps it squarefree and of full
+    found modulo a prime below 2^30 that keeps it squarefree and of full
     degree, Hensel-lifted past twice the product of its extreme
     coefficients, and recovered by rational reconstruction. A candidate
     is returned only when p vanishes at it exactly.
+
+    p is tested first at the prime itself. If q does not divide the lead
+    of p and p has no repeated factor mod q, then p is squarefree over Q:
+    a factor g^2 of p in Z[x] has lead(g) dividing lead(p), so g keeps its
+    degree mod q and g^2 would survive. Only when this test fails is the
+    rational gcd of p and p' computed, once, to split off the squarefree
+    part.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has every point as a root")
@@ -182,9 +217,21 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
         p = Polynomial(p.coeffs[v:])
     if p.is_constant:
         return tuple(sorted(found))
-    g = poly_gcd(p, p.derivative())
-    sf = p if g.is_constant else p // g
-    sints = _primitive_integer_form(sf)
+    sints = _primitive_integer_form(p)
+    q = _FIRST_PRIME
+    fbar = _squarefree_image(sints, q)
+    if fbar is None:
+        g = poly_gcd(p, p.derivative())
+        if not g.is_constant:
+            sints = _primitive_integer_form(p // g)
+            fbar = _squarefree_image(sints, q)
+        # This walk ends: a prime is bad for the squarefree part only when
+        # it divides the lead or the discriminant, and both are nonzero.
+        while fbar is None:
+            q += 2
+            while not is_probable_prime(q):
+                q += 2
+            fbar = _squarefree_image(sints, q)
     n = len(sints) - 1
     if n == 1:
         root = Fraction(-sints[0], sints[1])
@@ -194,21 +241,7 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
     num_bound, den_bound = abs(sints[0]), abs(sints[-1])
     target = 2 * num_bound * den_bound + 1
 
-    q = (1 << 62) + 29
-    for _ in range(512):
-        while not is_probable_prime(q):
-            q += 2
-        fbar = _pm_trim([c % q for c in sints])
-        if len(fbar) == n + 1:
-            fbar = _pm_monic(fbar, q)
-            dbar = _pm_trim([(i * c) % q for i, c in enumerate(sints)][1:])
-            if len(_pm_gcd(fbar, dbar, q)) == 1:
-                break
-        q += 2
-    else:  # pragma: no cover - 512 bad primes in a row cannot happen
-        raise RuntimeError("no usable prime found for modular root finding")
-
-    xq = _pm_powmod([0, 1], q, fbar, q)
+    xq = _pm_powmod(0, q, fbar, q)
     xq = xq[:] if xq else [0, 0]
     while len(xq) < 2:
         xq.append(0)

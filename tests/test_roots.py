@@ -7,6 +7,7 @@ independent exact oracle used in tests only, on planted inputs with small
 and with 60-bit cofactors.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,10 @@ from polydecomp.roots import (
     rational_roots,
     squarefree_decomposition,
 )
+
+
+# The first prime rational_roots tries.
+Q0 = 2**30 - 35
 
 
 def poly_with_roots(roots, cofactor=ONE, lead=1):
@@ -124,6 +129,53 @@ class TestRationalRoots:
         assert rational_roots(parse(
             "623380847x^3 + 405543113x^2 - 280847131x - 603491762"
         )) == ()
+        # the same for the prime below 2^30, on a squarefree input and
+        # on one whose squarefree part is split off over Q first
+        cubic = parse("-937711753x^3 + 138251922x^2 + 980677840x + 400227407")
+        assert rational_roots(cubic) == ()
+        assert rational_roots(cubic * cubic) == ()
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            # squarefree over Q, but its two roots meet mod Q0
+            poly_with_roots([1, 1 + Q0]),
+            poly_with_roots([F(1, Q0), -2], cofactor=parse("x^2 + 3")),
+            poly_with_roots([F(-5, 3)], cofactor=parse("x^2 + 1"), lead=7 * Q0),
+            parse("x - 1") ** 2 * parse("x^2 + 1"),
+            parse("x^2 - 2") ** 2 * parse("3x - 1"),
+        ],
+        ids=["collide-mod-q0", "root-1/q0", "lead-divisible-by-q0", "double-root", "double-irrational"],
+    )
+    def test_bad_first_prime_and_repeated_factors(self, q):
+        assert rational_roots(q) == sympy_rational_roots(q)
+
+    def test_rational_gcd_only_when_the_modular_test_fails(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr("polydecomp.roots.poly_gcd", spy)
+        assert rational_roots(parse("x - 1") * parse("x^2 + 1")) == (F(1),)
+        assert calls == []
+        assert rational_roots(parse("x - 1") ** 2 * parse("x^2 + 1")) == (F(1),)
+        assert len(calls) == 1
+
+    def test_many_bad_primes(self):
+        # Every one of the first 600 primes from Q0 up divides either the
+        # lead or the constant of a*x^2 + c, so each is bad for it; the walk
+        # has no fixed bound and goes past them all.
+        primes, q = [], Q0
+        while len(primes) < 600:
+            if is_probable_prime(q):
+                primes.append(q)
+            q += 2
+        a, c = math.prod(primes[0::2]), math.prod(primes[1::2])
+        quad = Polynomial([F(c), F(0), F(a)])
+        assert rational_roots(quad) == ()
+        assert rational_roots(quad * parse("x - 1")) == (F(1),)
 
     def test_planted_seeded(self):
         rng = random.Random(7)
