@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Polynomial, PostconditionError, Unit, _integer_form, compose_all
-from .roots import _series_root, divisors
+from .roots import _int_series_root, _integer_kth_root, divisors
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,14 @@ class DecompositionClass:
 
 def canonicalize(factors) -> tuple[Polynomial, ...]:
     """Thread units right to left until all non-leftmost factors are monic
-    with zero constant term.  Preserves the composition exactly."""
+    with zero constant term.  Preserves the composition exactly; a factor
+    already in that form passes no unit to its left neighbour."""
     fs = list(factors)
     for i in range(len(fs) - 1, 0, -1):
         u, core = fs[i].canonical_core()
-        fs[i] = core
-        fs[i - 1] = u.apply_right(fs[i - 1])
+        if not u.is_identity:
+            fs[i] = core
+            fs[i - 1] = u.apply_right(fs[i - 1])
     return tuple(fs)
 
 
@@ -88,10 +90,13 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     The top d coefficients of a pin the candidate h: after normalizing a to
     monic with zero constant term, the reversed coefficient sequence must be
     the m-th power (m = deg(a)/d) of h's reversed sequence, which an exact
-    power-series root recovers term by term.  Expanding a in base h
-    (repeated division) then accepts iff every digit is constant; the digits
-    are g's coefficients.  The canonical h of a given degree is unique, so
-    a None return is a proof of absence.
+    integer power-series root recovers term by term.  A split forces each
+    reversed coefficient r_j of h to satisfy da^j r_j in Z (da the lcm of
+    the normalized a's denominators), so the root rejects at the first term
+    that fails.  Expanding a in base h (repeated division, scaled by h's
+    weighted denominator s) then accepts iff every digit is constant; the
+    digits are g's coefficients.  The canonical h of a given degree is
+    unique, so a None return is a proof of absence.
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("right_factor needs a polynomial of degree >= 2")
@@ -108,46 +113,107 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
     ai = [c // content for c in ai]
     da = ai[-1]
-    # Reversed power series at infinity: rev[j] is ahat's x^(n-j)
-    # coefficient; the root reads only the first d of them.
-    rev = [Fraction(ai[n - j], da) for j in range(d)]
-    h = Polynomial([Fraction(0)] + _series_root(rev, m, d)[::-1])
-
-    digits = _constant_digits(ai, da, h, m)
+    # The root reads the top d coefficients of ahat, reversed, and returns
+    # h's reversed coefficients as numerators over one denominator.
+    root = _int_series_root(ai[n : n - d : -1], m, d)
+    if root is None:
+        return None
+    num, den = root
+    digits = _constant_digits(ai, da, num, den, m)
     if digits is None:
         return None
+    h = Polynomial([0] + [Fraction(c, den) for c in reversed(num)])
     return Unit(a[0], a.lead).apply_left(Polynomial(digits)), h
 
 
+def _coprime_base(nums) -> list[int]:
+    """Pairwise coprime integers > 1 whose products of powers give every
+    one of nums (positive integers): a coprime base in Bernstein's sense,
+    by plain quadratic gcd refinement.  A pair with a common factor g is
+    replaced by g and the two cofactors, which lowers the product of
+    everything in play by g, so the refinement ends."""
+    base: list[int] = []
+    todo = [x for x in nums if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo.extend(y for y in (g, x // g, b // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _perfect_power_root(b: int) -> int:
+    """The least c with c^k = b for some k >= 1 (b > 1)."""
+    k = 2
+    while 1 << k <= b:
+        c = _integer_kth_root(b, k)
+        if c is None:
+            k += 1
+        else:
+            b = c
+    return b
+
+
+def _weighted_denominator(num: list[int], den: int) -> int:
+    """An s with s^j r_j in Z for every r_j = num[j] / den, j >= 1, that
+    divides den = lcm(q_j), the reduced denominators.
+
+    q_1 divides every such s, so q_1 is the least one when it qualifies.
+    Otherwise, over a coprime base of the q_j whose elements b are taken
+    down to their least perfect-power roots, s is the product of
+    b^max_j(ceil(v_b(q_j) / j)): the least such s when the base elements
+    are prime, found without factoring.
+    """
+    if den == 1:
+        return 1
+    qs = [den // math.gcd(c, den) for c in num[1:]]
+    if not any(pow(qs[0], j, q) for j, q in enumerate(qs, 1)):
+        return qs[0]
+    s = 1
+    for b in map(_perfect_power_root, _coprime_base(set(qs))):
+        need = 0
+        for j, q in enumerate(qs, 1):
+            v = 0
+            while q % b == 0:
+                q //= b
+                v += 1
+            if v > need * j:
+                need = -(-v // j)
+        s *= b**need
+    return s
+
+
 def _constant_digits(
-    ai: list[int], da: int, h: Polynomial, m: int
+    ai: list[int], da: int, num: list[int], den: int, m: int
 ) -> list[Fraction] | None:
     """Base-h digits of ahat = ai / da when all of them are constants; else
     None.
 
-    ahat and h are monic with zero constant term, and da is the lcm of
-    ahat's denominators.  A split forces e, the lcm of h's denominators,
-    to divide da^d: da^n ahat(x/da) is monic over Z, so every root of
-    da^d h(x/da) - c, for c a root of the outer factor, is an algebraic
-    integer, and da^d h(x/da) has integer coefficients.  Failing that test
-    proves there is no split; passing it bounds e by da^d, so the scaled
-    integers below stay polynomial in the input size.  The digits come
-    from substituting x -> x/e and multiplying through, which turns the
-    repeated division into pure integer synthetic division by a monic
-    integer polynomial: no rational normalization happens inside the loop.
+    ahat is monic with zero constant term, and da is the lcm of its
+    denominators.  h is monic with zero constant term and reversed
+    coefficients r_j = num[j] / den, each with da^j r_j in Z (checked by
+    the series root).  With s from `_weighted_denominator`, s^d h(x/s) is
+    monic over Z, and substituting x -> x/s and multiplying through turns
+    the repeated division into pure integer synthetic division by it: no
+    rational normalization happens inside the loop.  s divides den, the
+    lcm of h's denominators, so the scaled integers are never larger than
+    with den in its place, and usually far smaller.
     """
-    d = h.degree
+    d = len(num)
     n = len(ai) - 1
-    hi, e = _integer_form(h.coeffs)
-    if pow(da, d, e):
-        return None
-    epow = [1] * (n + 1)
+    s = _weighted_denominator(num, den)
+    spow = [1] * (n + 1)
     for j in range(1, n + 1):
-        epow[j] = epow[j - 1] * e
-    # The nonzero low taps of h(x/e) * e^d; tap 0 is h(0) = 0 and tap d is 1.
-    taps = [(j, b) for j in range(1, d) if (b := hi[j] * epow[d - j] // e)]
-    # ahat(x/e) * da * e^n, with integer coefficients.
-    cur = [c * epow[n - j] for j, c in enumerate(ai)]
+        spow[j] = spow[j - 1] * s
+    # The nonzero low taps of h(x/s) * s^d; tap 0 is h(0) = 0 and tap d is 1.
+    taps = [(j, b) for j in range(1, d) if (b := num[d - j] * spow[d - j] // den)]
+    # ahat(x/s) * da * s^n, with integer coefficients.
+    cur = [c * spow[n - j] for j, c in enumerate(ai)]
     scaled: list[int] = []
     for _ in range(m):
         qlen = len(cur) - d
@@ -166,7 +232,7 @@ def _constant_digits(
     scaled.append(cur[0])
     out = []
     for i, dig in enumerate(scaled):
-        out.append(Fraction(dig, da * epow[d * (m - i)]))
+        out.append(Fraction(dig, da * spow[d * (m - i)]))
     return out
 
 

@@ -384,6 +384,8 @@ class Polynomial:
             raise ValueError("cannot normalize a constant polynomial")
         lead = self.lead
         const = self.coeffs[0]
+        if lead == 1 and const == 0:
+            return Unit.identity(), self
         core = Polynomial(
             tuple((c - const if i == 0 else c) / lead for i, c in enumerate(self.coeffs))
         )

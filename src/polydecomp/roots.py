@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .poly import Polynomial, _integer_form
@@ -361,20 +362,55 @@ def rational_kth_root(q: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _series_root(f: Sequence[Fraction], m: int, terms: int) -> list[Fraction]:
-    """The first `terms` coefficients of f^(1/m) for a power series with
-    f[0] = 1, from the x^(j-1) coefficients of m * f * r' = r * f'."""
-    root = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+def _int_series_root(f: Sequence[int], m: int, terms: int) -> tuple[list[int], int] | None:
+    """The first `terms` coefficients r_j of (f / f[0])^(1/m), as integer
+    numerators over one common denominator, or None.
+
+    f holds integers with da = f[0] > 0: f / da is the reversed coefficient
+    sequence of a monic p of degree n with da * p over Z, so the roots of
+    da^n p(x/da), which is monic over Z, are algebraic integers.  Let R be
+    monic of degree d with p = R^m, or with p = g . R for a monic g as in
+    `right_factor`.  Every root of da^d R(x/da) - c, for c = 0 or c a root
+    of da^n g(x/da^d), is then a root of da^n p(x/da), so the coefficients
+    of da^d R(x/da) are integers (all but the constant one when p = g . R):
+    da^j r_j is an integer for every term read.  The first term whose
+    reduced denominator does not divide da^j therefore proves that no such
+    R exists, and the root stops there.
+
+    Term j comes from the x^(j-1) coefficient of m f r' = f' r:
+    m j r_j da = sum over k < j of (j - (m+1) k) f[j-k] r_k.
+    """
+    da = f[0]
+    num = [1]
+    knum = [0]
+    den = 1
     for j in range(1, terms):
-        s1 = sum((j - k) * f[j - k] * root[k] for k in range(j))
-        s2 = sum((j - k) * root[j - k] * f[k] for k in range(1, j))
-        root[j] = (s1 - m * s2) / (m * j)
-    return root
+        fr = f[j:0:-1]
+        t = j * sum(map(mul, fr, num)) - (m + 1) * sum(map(mul, fr, knum))
+        q = m * j * da * den
+        g = math.gcd(t, q)
+        t //= g
+        q //= g
+        if pow(da, j, q):
+            return None
+        if den % q:
+            grow = q // math.gcd(den, q)
+            den *= grow
+            num = [c * grow for c in num]
+            knum = [c * grow for c in knum]
+        c = t * (den // q)
+        num.append(c)
+        knum.append(j * c)
+    return num, den
 
 
 def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
     """The polynomial r with r**k == p, if one exists over the rationals:
-    the series root of p / lead reversed, scaled by the lead's k-th root."""
+    the series root of p / lead reversed, scaled by the lead's k-th root.
+
+    The root runs on p's primitive numerators and stops at the first term
+    whose denominator no polynomial root allows (see `_int_series_root`).
+    """
     if k < 1:
         raise ValueError("root index must be positive")
     if p.is_zero:
@@ -385,6 +421,12 @@ def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
     lead_root = rational_kth_root(p.lead, k)
     if lead_root is None:
         return None
-    rev = [c / p.lead for c in reversed(p.coeffs)]
-    r = Polynomial(_series_root(rev, k, n // k + 1)[::-1]) * lead_root
+    ints = _primitive_integer_form(p)
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    root = _int_series_root(ints[::-1], k, n // k + 1)
+    if root is None:
+        return None
+    num, den = root
+    r = Polynomial(Fraction(c, den) for c in reversed(num)) * lead_root
     return r if r**k == p else None

@@ -117,3 +117,16 @@ def test_rejects_index_below_one():
 def test_extract_odd_base_rejects_even():
     with pytest.raises(ValueError):
         extract_odd_base(chebyshev(4))
+
+
+def test_cache_is_bounded():
+    # a sweep past the bound keeps at most maxsize entries and the values
+    # stay exact after eviction
+    size = chebyshev.cache_info().maxsize
+    assert size is not None
+    chebyshev.cache_clear()
+    for n in range(1, size + 100):
+        chebyshev(n)
+    assert chebyshev.cache_info().currsize <= size
+    for n, text in FROZEN.items():
+        assert chebyshev(n) == parse(text)

@@ -5,14 +5,17 @@ undetermined coefficients (solve g(h) = a for the coefficients of g and
 h with h monic, h(0) = 0) in a computer algebra system, then frozen.
 """
 
+import math
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydecomp import decompose
 from polydecomp.chebyshev import chebyshev
+from polydecomp.corpus import indecomposable_factor, ritt_corpus
 from polydecomp.decompose import (
     canonicalize,
     common_composite,
@@ -31,7 +34,7 @@ from polydecomp.poly import (
     _integer_form,
     compose_all,
 )
-from polydecomp.roots import _series_root
+from polydecomp.roots import _int_series_root
 
 T6 = "32x^6 - 48x^4 + 18x^2 - 1"
 
@@ -112,14 +115,27 @@ class TestRightFactor:
         assert h(0) == 0
 
 
+def fraction_series_root(f, m, terms):
+    """The first `terms` coefficients of f^(1/m) for a power series with
+    f[0] = 1, in Fractions, from the x^(j-1) coefficients of
+    m * f * r' = r * f'."""
+    root = [F(1)] + [F(0)] * (terms - 1)
+    for j in range(1, terms):
+        s1 = sum((j - k) * f[j - k] * root[k] for k in range(j))
+        s2 = sum((j - k) * root[j - k] * f[k] for k in range(1, j))
+        root[j] = (s1 - m * s2) / (m * j)
+    return root
+
+
 def old_right_factor(a, d):
     """The earlier split: a's canonical core as Fractions, its whole
-    reversed sequence to the series root, then the denominators cleared
-    again and a digit loop that tests every tap of the scaled h."""
+    reversed sequence to a Fraction series root, then the denominators
+    cleared again and a digit loop on x -> x/e, e the lcm of h's
+    denominators, that tests every tap of the scaled h."""
     n = a.degree
     m = n // d
     outer_unit, ahat = a.canonical_core()
-    h = Polynomial([F(0)] + _series_root(ahat.coeffs[::-1], m, d)[::-1])
+    h = Polynomial([F(0)] + fraction_series_root(ahat.coeffs[::-1], m, d)[::-1])
     hi, e = _integer_form(h.coeffs)
     ai, da = _integer_form(ahat.coeffs)
     if pow(da, d, e):
@@ -190,7 +206,7 @@ class TestIntegerRightFactor:
 
     def test_reads_numerators_not_the_canonical_core(self, monkeypatch):
         seen = []
-        real_root = decompose._series_root
+        real_root = decompose._int_series_root
 
         def spy_root(f, m, terms):
             seen.append(len(f))
@@ -199,13 +215,142 @@ class TestIntegerRightFactor:
         def no_core(self):
             raise AssertionError("right_factor built a canonical core")
 
-        monkeypatch.setattr(decompose, "_series_root", spy_root)
+        monkeypatch.setattr(decompose, "_int_series_root", spy_root)
         monkeypatch.setattr(Polynomial, "canonical_core", no_core)
         a = parse("-3/2 x^12 + 5x^7 - 1/7 x^3 + 4")
         for d in (2, 3, 4, 6):
             right_factor(a, d)
         assert right_factor(chebyshev(12), 4) is not None
         assert seen == [2, 3, 4, 6, 4]
+
+
+class TestIntegerSeriesRoot:
+    """The integer series root against the Fraction recurrence, and the
+    per-term test da^j r_j in Z that stops it."""
+
+    @given(
+        da=st.integers(min_value=1, max_value=12),
+        rest=st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=6),
+        m=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_root(self, da, rest, m):
+        f = [da] + rest
+        want = fraction_series_root([F(c, da) for c in f], m, len(f))
+        got = _int_series_root(f, m, len(f))
+        if got is None:
+            assert any((da**j * r).denominator != 1 for j, r in enumerate(want))
+        else:
+            num, den = got
+            assert [F(c, den) for c in num] == want
+            assert den == math.lcm(*(r.denominator for r in want))
+
+    def test_planted_powers(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            m = rng.choice((2, 3, 5))
+            r = Polynomial(
+                [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9, 25))) for _ in range(rng.randint(1, 6))]
+                + [F(1)]
+            )
+            ints, _ = _integer_form((r**m).coeffs)
+            got = _int_series_root(ints[::-1], m, r.degree + 1)
+            assert got is not None
+            num, den = got
+            assert [F(c, den) for c in num] == list(reversed(r.coeffs))
+
+    def test_stops_at_the_first_bad_term(self):
+        # r_1 = 1/2 with da = 1 fails the test; f[2] must never be read
+        assert _int_series_root([1, 1, None], 2, 3) is None
+        # (1 + x)^(1/2) = 1 + x/2 - x^2/8 + ..., allowed once da = 4
+        assert _int_series_root([4, 4, 0], 2, 3) == ([8, 4, -1], 8)
+
+
+class TestWeightedDenominator:
+    def test_coprime_base(self):
+        nums = [12, 18, 35, 1, 49, 210, 2**40 * 3]
+        base = decompose._coprime_base(nums)
+        assert all(b > 1 for b in base)
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+        for x in nums:
+            for b in base:
+                while x % b == 0:
+                    x //= b
+            assert x == 1
+
+    @staticmethod
+    def least_s(rs):
+        s = 1
+        while any((s**j * r).denominator != 1 for j, r in enumerate(rs)):
+            s += 1
+        return s
+
+    def test_perfect_power_root(self):
+        for c in (2, 3, 6, 10, 2**61 - 1):
+            for k in (1, 2, 3, 7):
+                assert decompose._perfect_power_root(c**k) == c
+        assert decompose._perfect_power_root(2**6 * 3**4) == 2**3 * 3**2
+        assert decompose._perfect_power_root(72) == 72
+
+    def test_least_over_prime_power_bases(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            rs = [F(1)] + [
+                F(rng.choice((1, -1, 5)), rng.choice((1, 2, 4, 8, 3, 9, 27, 7, 49)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            den = math.lcm(*(r.denominator for r in rs))
+            num = [r.numerator * (den // r.denominator) for r in rs]
+            assert decompose._weighted_denominator(num, den) == self.least_s(rs)
+
+    def test_valid_and_between_least_and_den(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            rs = [F(1)] + [
+                F(rng.choice((1, -1, 5)), rng.choice((1, 6, 12, 18, 36, 10, 100, 30)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            den = math.lcm(*(r.denominator for r in rs))
+            num = [r.numerator * (den // r.denominator) for r in rs]
+            s = decompose._weighted_denominator(num, den)
+            assert all((s**j * r).denominator == 1 for j, r in enumerate(rs))
+            assert s % self.least_s(rs) == 0
+            assert den % s == 0
+
+
+def found_factors():
+    rng = random.Random(1)
+    return tuple(indecomposable_factor(rng, deg) for deg in (3, 7, 7, 7))
+
+
+class TestSlowSplitsWithinBudget:
+    """Splits whose right factor has denominators of 78 bits and more.
+    Scaled by the lcm of those denominators, the digit loop took about
+    30-100 s on them; each answer is checked against the planted chain,
+    whose inner part of degree d is the only canonical candidate."""
+
+    @pytest.mark.parametrize(
+        "factors,d,accepted",
+        [
+            (found_factors(), 343, True),
+            (ritt_corpus(42, 200)[1], 343, True),
+            (ritt_corpus(42, 200)[81], 175, True),
+            (ritt_corpus(42, 200)[57], 245, False),
+        ],
+        ids=["3-7-7-7", "corpus-1", "corpus-81", "corpus-57-reject"],
+    )
+    def test_split(self, factors, d, accepted):
+        a = compose_all(factors)
+        t0 = time.perf_counter()
+        split = right_factor(a, d)
+        assert time.perf_counter() - t0 < 5.0
+        if not accepted:
+            assert split is None
+            return
+        g, h = split
+        assert h == compose_all(factors[1:]).canonical_core()[1]
+        assert h.degree == d
+        assert g.compose(h) == a
 
 
 def random_poly(rng, degree):
@@ -278,6 +423,14 @@ class TestCanonicalize:
             assert compose_all(out) == compose_all(parts)
             for f in out[1:]:
                 assert f.lead == 1 and f(0) == 0
+
+    def test_canonical_factors_pass_no_unit(self, monkeypatch):
+        def no_apply(self, q):
+            raise AssertionError("applied the identity unit")
+
+        monkeypatch.setattr(Unit, "apply_right", no_apply)
+        parts = (parse("2x^2 + 1"), parse("x^3 + 1/3 x"), parse("x^2 - x"))
+        assert canonicalize(parts) == parts
 
     def test_scale_variant_keeps_odd_parts_odd(self):
         parts = (parse("2x^3 + x"), parse("3x^3"))

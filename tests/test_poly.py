@@ -239,6 +239,12 @@ class TestStructure:
         assert core.lead == 1 and core(0) == 0
         assert u.apply_left(core) == p("3x^2 + 6x + 5")
 
+    def test_canonical_core_of_a_core_is_itself(self):
+        core = p("x^3 - 1/2 x")
+        u, same = core.canonical_core()
+        assert u.is_identity
+        assert same is core
+
     @given(a=nonconst)
     def test_canonical_core_roundtrip(self, a):
         u, core = a.canonical_core()

@@ -7,6 +7,10 @@ which switches to Kronecker packing once the operand area reaches
 zero coefficients and mixed denominators, so both sides of that switch
 are exercised; constant operands and the zero polynomial are included.
 sympy's `Poly.mul`, `Poly.compose` and `Poly.shift` over QQ are the oracle.
+
+`squarefree_decomposition` and `poly_gcd` are checked against sympy's
+`sqf_list` and `gcd` (made monic), on planted products of powers and on
+hypothesis inputs.
 """
 
 from fractions import Fraction as F
@@ -16,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import polydecomp.poly as poly
 from polydecomp.poly import Polynomial, Unit
+from polydecomp.roots import poly_gcd, squarefree_decomposition
 
 x = sympy.Symbol("x")
 
@@ -82,3 +87,49 @@ def test_fixed_edge_cases(monkeypatch):
         for h in (zero, seven, sparse):
             assert g.compose(h) == from_sympy(to_sympy(g).compose(to_sympy(h)))
     assert packed_calls
+
+
+def assert_sqf_matches_sympy(a: Polynomial):
+    content, parts = squarefree_decomposition(a)
+    _, factors = to_sympy(a).sqf_list()
+    assert parts == {k: from_sympy(f.monic()) for f, k in factors}
+    assert content == a.lead
+
+
+nonconst_polys = rational_polys(6).filter(lambda a: not a.is_constant)
+
+
+@given(
+    parts=st.lists(st.tuples(nonconst_polys, st.integers(min_value=1, max_value=3)), min_size=1, max_size=3),
+    lead=small.filter(bool),
+)
+@settings(max_examples=50, deadline=None)
+def test_squarefree_decomposition_planted(parts, lead):
+    a = Polynomial.const(lead)
+    for f, k in parts:
+        a = a * f**k
+    assert_sqf_matches_sympy(a)
+
+
+@given(a=rational_polys(12).filter(lambda a: not a.is_zero))
+@settings(max_examples=50, deadline=None)
+def test_squarefree_decomposition(a):
+    assert_sqf_matches_sympy(a)
+
+
+def sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    g = to_sympy(a).gcd(to_sympy(b))
+    return from_sympy(g.monic()) if not g.is_zero else Polynomial()
+
+
+@given(common=rational_polys(5), a=rational_polys(6), b=rational_polys(6))
+@settings(max_examples=50, deadline=None)
+def test_poly_gcd_planted(common, a, b):
+    a, b = common * a, common * b
+    assert poly_gcd(a, b) == sympy_gcd(a, b)
+
+
+@given(a=rational_polys(10), b=rational_polys(10))
+@settings(max_examples=50, deadline=None)
+def test_poly_gcd(a, b):
+    assert poly_gcd(a, b) == sympy_gcd(a, b)
