@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .poly import Polynomial, PostconditionError, Unit, _integer_form, compose_all
-from .roots import _int_series_root, _integer_kth_root, divisors
+from .roots import _int_series_root, divisors
 
 
 @dataclass(frozen=True)
@@ -147,25 +147,12 @@ def _coprime_base(nums) -> list[int]:
     return base
 
 
-def _perfect_power_root(b: int) -> int:
-    """The least c with c^k = b for some k >= 1 (b > 1)."""
-    k = 2
-    while 1 << k <= b:
-        c = _integer_kth_root(b, k)
-        if c is None:
-            k += 1
-        else:
-            b = c
-    return b
-
-
 def _weighted_denominator(num: list[int], den: int) -> int:
     """An s with s^j r_j in Z for every r_j = num[j] / den, j >= 1, that
     divides den = lcm(q_j), the reduced denominators.
 
     q_1 divides every such s, so q_1 is the least one when it qualifies.
-    Otherwise, over a coprime base of the q_j whose elements b are taken
-    down to their least perfect-power roots, s is the product of
+    Otherwise, over a coprime base b of the q_j, s is the product of
     b^max_j(ceil(v_b(q_j) / j)): the least such s when the base elements
     are prime, found without factoring.
     """
@@ -175,7 +162,7 @@ def _weighted_denominator(num: list[int], den: int) -> int:
     if not any(pow(qs[0], j, q) for j, q in enumerate(qs, 1)):
         return qs[0]
     s = 1
-    for b in map(_perfect_power_root, _coprime_base(set(qs))):
+    for b in _coprime_base(set(qs)):
         need = 0
         for j, q in enumerate(qs, 1):
             v = 0

@@ -285,20 +285,15 @@ class TestWeightedDenominator:
             s += 1
         return s
 
-    def test_perfect_power_root(self):
-        for c in (2, 3, 6, 10, 2**61 - 1):
-            for k in (1, 2, 3, 7):
-                assert decompose._perfect_power_root(c**k) == c
-        assert decompose._perfect_power_root(2**6 * 3**4) == 2**3 * 3**2
-        assert decompose._perfect_power_root(72) == 72
-
-    def test_least_over_prime_power_bases(self):
+    def test_least_over_prime_bases(self):
+        # the last denominator, 42, splits the coprime base into the
+        # primes 2, 3 and 7; a base element such as 9 alone would stay 9
         rng = random.Random(31)
         for _ in range(60):
             rs = [F(1)] + [
                 F(rng.choice((1, -1, 5)), rng.choice((1, 2, 4, 8, 3, 9, 27, 7, 49)))
                 for _ in range(rng.randint(1, 6))
-            ]
+            ] + [F(1, 42)]
             den = math.lcm(*(r.denominator for r in rs))
             num = [r.numerator * (den // r.denominator) for r in rs]
             assert decompose._weighted_denominator(num, den) == self.least_s(rs)
