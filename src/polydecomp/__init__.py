@@ -57,7 +57,7 @@ from .oddmonoid import (
     is_irreducible_in_O,
     is_odd,
 )
-from .parsing import ParseError, format_poly, parse, poly_from_json, poly_to_json
+from .parsing import ParseError, format_poly, parse
 from .poly import Polynomial, Unit, compose_all
 
 __all__ = [
@@ -107,8 +107,6 @@ __all__ = [
     "is_odd",
     "max_decompositions",
     "parse",
-    "poly_from_json",
-    "poly_to_json",
     "right_factor",
     "ritt1_check",
     "ritt_invariants",

@@ -82,7 +82,7 @@ def extract_odd_base(p: Polynomial) -> Polynomial:
     """For odd p, the unique t with p = x * t(x^2)."""
     if p.is_zero or not p.is_odd_function:
         raise ValueError("extract_odd_base needs a nonzero odd polynomial")
-    return Polynomial(p.coeffs[1::2])
+    return Polynomial.from_ints(p.num[1::2], p.den)
 
 
 # The degree-2 conjugation witness: alpha = 2x - 1 maps T_2 to x^2 from the

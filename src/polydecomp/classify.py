@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
-from .parsing import format_rational
+from .parsing import format_coeffs, format_rational
 from .poly import Polynomial, Unit
 from .roots import (
     count_real_roots,
@@ -64,7 +64,7 @@ class ShapeClass:
         if self.center is not None:
             out["center"] = format_rational(self.center)
         if self.witness_g is not None:
-            out["witness_g"] = [format_rational(c) for c in self.witness_g.coeffs]
+            out["witness_g"] = format_coeffs(self.witness_g)
         if self.outer_unit is not None:
             out["outer_unit"] = {
                 "scale": format_rational(self.outer_unit.scale),

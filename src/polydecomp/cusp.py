@@ -32,7 +32,7 @@ from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
-from .parsing import format_rational
+from .parsing import format_coeffs, format_rational
 from .poly import Polynomial, PostconditionError, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
@@ -200,9 +200,7 @@ class ADecompositions:
         return {
             "degree": self.target.degree,
             "lengths": list(self.lengths),
-            "members": [
-                [[format_rational(c) for c in f.coeffs] for f in m] for m in self.members
-            ],
+            "members": [[format_coeffs(f) for f in m] for m in self.members],
         }
 
 
@@ -323,7 +321,7 @@ class MaxBase:
 
     def to_json(self) -> dict:
         return {
-            "class": [[format_rational(c) for c in f.coeffs] for f in self.factors],
+            "class": [format_coeffs(f) for f in self.factors],
             "position": self.position,
             "shift_sets": [[format_rational(s) for s in ss] for ss in self.shift_sets],
             "degree_multiset": list(self.degree_multiset),
@@ -413,7 +411,7 @@ class MoveResult:
         return {
             "kind": self.kind,
             "position": self.position,
-            "factors": [[format_rational(c) for c in f.coeffs] for f in self.factors],
+            "factors": [format_coeffs(f) for f in self.factors],
             "in_A": list(self.in_A),
         }
 
@@ -548,7 +546,7 @@ def _move_power_outward(fs: list[Polynomial], i: int):
             "left factor does not vanish to a power-coprime order at the "
             "right factor's value at 0"
         )
-    g = poly_kth_root(Polynomial(w.coeffs[s:]) * (1 / pi.lead), p)
+    g = poly_kth_root(Polynomial.from_ints(w.num[s:], w.den) * (1 / pi.lead), p)
     if g is None:
         raise PatternMismatchError(
             "left factor is not lc * (x - x0)^s * G(x)^p at the right "

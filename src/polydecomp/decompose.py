@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import Polynomial, PostconditionError, Unit, _integer_form, compose_all
+from .poly import MAX_DEGREE, Polynomial, PostconditionError, Unit, compose_all
 from .roots import _int_series_root, divisors
 
 
@@ -108,8 +108,7 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     # ahat = (a - a(0)) / lead is ai / da: the numerators of a with the
     # constant cleared, made primitive with a positive lead.  Since ahat is
     # monic, da is then exactly the lcm of ahat's denominators.
-    ai, _ = _integer_form(a.coeffs)
-    ai[0] = 0
+    ai = [0, *a.num[1:]]
     content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
     ai = [c // content for c in ai]
     da = ai[-1]
@@ -119,11 +118,11 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     if root is None:
         return None
     num, den = root
-    digits = _constant_digits(ai, da, num, den, m)
-    if digits is None:
+    g = _constant_digits(ai, da, num, den, m)
+    if g is None:
         return None
-    h = Polynomial([0] + [Fraction(c, den) for c in reversed(num)])
-    return Unit(a[0], a.lead).apply_left(Polynomial(digits)), h
+    h = Polynomial.from_ints([0, *reversed(num)], den)
+    return Unit(a[0], a.lead).apply_left(g), h
 
 
 def _coprime_base(nums) -> list[int]:
@@ -177,9 +176,9 @@ def _weighted_denominator(num: list[int], den: int) -> int:
 
 def _constant_digits(
     ai: list[int], da: int, num: list[int], den: int, m: int
-) -> list[Fraction] | None:
-    """Base-h digits of ahat = ai / da when all of them are constants; else
-    None.
+) -> Polynomial | None:
+    """The polynomial whose coefficients are the base-h digits of
+    ahat = ai / da when all of those digits are constants; else None.
 
     ahat is monic with zero constant term, and da is the lcm of its
     denominators.  h is monic with zero constant term and reversed
@@ -217,10 +216,11 @@ def _constant_digits(
         cur = q
     # m rounds of d-term division leave n + 1 - m*d = 1 coefficient.
     scaled.append(cur[0])
-    out = []
-    for i, dig in enumerate(scaled):
-        out.append(Fraction(dig, da * spow[d * (m - i)]))
-    return out
+    # Digit i is scaled[i] / (da * s^(d*(m-i))); over da * s^n it is
+    # scaled[i] * s^(d*i).
+    return Polynomial.from_ints(
+        [dig * spow[d * i] for i, dig in enumerate(scaled)], da * spow[n]
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -362,7 +362,7 @@ def _solve_linear(
 
 
 def common_composite(
-    a: Polynomial, b: Polynomial, degree_bound: int | None = None
+    a: Polynomial, b: Polynomial, degree_bound: int = MAX_DEGREE
 ) -> tuple[Polynomial, Polynomial, Polynomial] | None:
     """Least common composite: c = alpha . a = beta . b at degree lcm(da, db).
 
@@ -374,8 +374,6 @@ def common_composite(
     if a.is_constant or a.degree < 2 or b.is_constant or b.degree < 2:
         raise ValueError("common_composite needs two polynomials of degree >= 2")
     target = math.lcm(a.degree, b.degree)
-    if degree_bound is None:
-        degree_bound = 10 * target
     if target > degree_bound:
         raise ValueError(
             f"least common composite degree {target} exceeds bound {degree_bound}"

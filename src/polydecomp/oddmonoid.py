@@ -20,7 +20,7 @@ from typing import Optional
 from .chebyshev import _dressed_odd_chebyshev_degree
 from .decompose import Decomposition, enumerate_classes, is_indecomposable
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
-from .parsing import format_rational
+from .parsing import format_coeffs
 from .poly import Polynomial, compose_all
 from .roots import is_probable_prime, poly_kth_root
 
@@ -113,7 +113,7 @@ class OddSwapResult:
         if self.t is not None:
             out["t"] = self.t
         if self.alpha is not None:
-            out["alpha"] = [format_rational(c) for c in self.alpha.coeffs]
+            out["alpha"] = format_coeffs(self.alpha)
         return out
 
 
@@ -134,7 +134,7 @@ def _match_power_pattern(
     t = p.x_valuation()
     if t == 0 or t % 2 == 0:
         return None
-    body = Polynomial(p.coeffs[t:])
+    body = Polynomial.from_ints(p.num[t:], p.den)
     a_poly = poly_kth_root(body * (1 / body.lead), s)
     alpha = None if a_poly is None else a_poly.to_inner_power(2)
     if alpha is None or alpha[0] == 0:

@@ -1,4 +1,4 @@
-"""Text and JSON forms for polynomials.
+"""Text forms for polynomials and rationals.
 
 Grammar (whitespace insignificant)::
 
@@ -9,17 +9,13 @@ Grammar (whitespace insignificant)::
 
 Exponents above ``poly.MAX_DEGREE`` are rejected before any coefficient
 list is built, and integer literals longer than ``poly.MAX_LITERAL_DIGITS``
-digits before they are converted.
-
-The JSON form is ``{"coeffs": ["num/den", ...]}``, ascending by exponent,
-each entry a rational in lowest terms ("/1" omitted).  Reading it accepts
-ints and strings ``[-]digits[/digits]`` only, under the same degree and
-literal caps as the parser.
+digits before they are converted.  `parse_rational` reads a signed
+``rational`` under the same literal cap.
 """
 
 from __future__ import annotations
 
-import re
+import math
 from fractions import Fraction
 
 from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
@@ -180,6 +176,21 @@ def parse(text: str) -> Polynomial:
     return _Parser(text).parse()
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse ``["+"|"-"] rational``; raises ParseError with a byte offset."""
+    ps = _Parser(text)
+    tok = ps.peek()
+    sign = 1
+    if tok and tok[0] == _OP and tok[1] in "+-":
+        ps.take()
+        sign = -1 if tok[1] == "-" else 1
+    value = sign * ps._rational()
+    tok = ps.peek()
+    if tok is not None:
+        raise ParseError(tok[2], f"expected the end of the rational, got {tok[1]!r}")
+    return value
+
+
 def _int_text(n: int) -> str:
     try:
         return str(n)
@@ -192,6 +203,13 @@ def _int_text(n: int) -> str:
     return _int_text(hi) + _int_text(lo).zfill(k)
 
 
+def _rational_text(n: int, d: int) -> str:
+    """The text of n / d for d > 0, as str(Fraction(n, d))."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
+
+
 def format_rational(c: Fraction) -> str:
     """Exact decimal text of c at any size, equal to str(c).
 
@@ -199,13 +217,7 @@ def format_rational(c: Fraction) -> str:
     limit is written in halves split by a power of ten; the limit is never
     raised.
     """
-    try:
-        return str(c)
-    except ValueError:
-        pass
-    if c.denominator == 1:
-        return _int_text(c.numerator)
-    return f"{_int_text(c.numerator)}/{_int_text(c.denominator)}"
+    return _rational_text(c.numerator, c.denominator)
 
 
 def format_poly(p: Polynomial) -> str:
@@ -216,61 +228,21 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
-    for exp in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[exp]
-        if c == 0:
+    for exp in range(len(p.num) - 1, -1, -1):
+        n = p.num[exp]
+        if n == 0:
             continue
-        mag = abs(c)
-        if exp == 0:
-            body = format_rational(mag)
-        else:
+        body = _rational_text(abs(n), p.den)
+        if exp:
             xp = "x" if exp == 1 else f"x^{exp}"
-            body = xp if mag == 1 else f"{format_rational(mag)}*{xp}"
+            body = xp if body == "1" else f"{body}*{xp}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
+            parts.append(f" + {body}" if n > 0 else f" - {body}")
     return "".join(parts)
 
 
-def poly_to_json(p: Polynomial) -> dict:
-    return {"coeffs": [format_rational(c) for c in p.coeffs]}
-
-
-_JSON_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_INT_BOUND = 10**MAX_LITERAL_DIGITS
-
-
-def _json_coefficient(i: int, entry: object) -> Fraction:
-    """Entry i of a JSON coefficient list, its digit runs checked against
-    the literal cap before any is converted."""
-    m = _JSON_RATIONAL.fullmatch(entry) if isinstance(entry, str) else None
-    if m is not None:
-        num, den = m.groups()
-        too_long = len(num.lstrip("-")) > MAX_LITERAL_DIGITS or (
-            den is not None and len(den) > MAX_LITERAL_DIGITS
-        )
-    elif isinstance(entry, int) and not isinstance(entry, bool):
-        num, den = entry, None
-        too_long = not -_INT_BOUND < entry < _INT_BOUND
-    else:
-        raise ValueError(f"bad coefficient entry: {entry!r}")
-    if too_long:
-        raise ValueError(
-            f"coefficient entry {i} exceeds the {MAX_LITERAL_DIGITS}-digit cap"
-        )
-    den = 1 if den is None else int(den)
-    if den == 0:
-        raise ValueError(f"coefficient entry {i} ({entry!r}) has a zero denominator")
-    return Fraction(int(num), den)
-
-
-def poly_from_json(obj: object) -> Polynomial:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError("polynomial JSON must be an object with a 'coeffs' list")
-    coeffs = obj["coeffs"]
-    if not isinstance(coeffs, list):
-        raise ValueError("'coeffs' must be a list of rational strings")
-    if len(coeffs) > MAX_DEGREE + 1:
-        raise ValueError(f"'coeffs' exceeds the degree cap {MAX_DEGREE}")
-    return Polynomial([_json_coefficient(i, c) for i, c in enumerate(coeffs)])
+def format_coeffs(p: Polynomial) -> list[str]:
+    """The coefficients of p, ascending, as `format_rational` writes them."""
+    return [_rational_text(n, p.den) for n in p.num]

@@ -1,13 +1,16 @@
 """Exact dense polynomial arithmetic over the rationals.
 
-Everything in this package works with `Polynomial` (dense coefficient
-tuple, ascending exponents, exact `Fraction` entries) and `Unit` (a
-degree-1 polynomial, the invertible elements under composition).  All
-operations are pure; both classes are frozen and hashable.
+Everything in this package works with `Polynomial` (a dense tuple of
+integer numerators, ascending exponents, over one positive denominator,
+in lowest terms) and `Unit` (a degree-1 polynomial, the invertible
+elements under composition).  Products and compositions convolve the
+numerators directly.  All operations are pure; both classes are frozen
+and hashable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +39,15 @@ class PostconditionError(ValueError):
     instead of an assert so the check also runs under python -O."""
 
 
-def _frac(v: Scalar) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+def _ratio(v: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, in lowest terms."""
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return v.as_integer_ratio()
     raise TypeError(f"coefficient must be int or Fraction, got {type(v).__name__}")
+
+
+def _frac(v: Scalar) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(*_ratio(v))
 
 
 def _unpack_nonneg(n: int, nbytes: int, count: int) -> list[int]:
@@ -101,39 +107,54 @@ def _int_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: (ints, den) with coeffs[i] == ints[i] / den.
-
-    den is the lcm of the denominators, so it is 1 for integer input.
-    """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _mul_coeffs(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
-    ai, da = _integer_form(a)
-    bi, db = _integer_form(b)
-    den = da * db
-    return [Fraction(n, den) for n in _int_conv(ai, bi)]
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial with exact rational coefficients.
+    """Dense polynomial with exact rational coefficients, stored as integer
+    numerators over one denominator, as FLINT's fmpq_poly does.
 
-    ``coeffs[i]`` is the coefficient of x^i; trailing zeros are stripped on
-    construction, so the zero polynomial is the empty tuple.
+    ``num[i] / den`` is the coefficient of x^i.  The pair is kept in lowest
+    terms: den > 0, gcd(den, *num) == 1 and no trailing zeros, so the zero
+    polynomial is ``((), 1)``.  That form is unique, so equality and the
+    hash compare integers.  ``coeffs`` is the same polynomial as a tuple of
+    ``Fraction``s, built on first use.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        pairs = [_ratio(c) for c in coeffs]
+        den = math.lcm(*[d for _, d in pairs])
+        self._store([n * (den // d) for n, d in pairs], den)
+
+    def _store(self, num: list[int], den: int) -> None:
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x^i, as a ``Fraction``."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_ints(cls, num: Iterable[int], den: int) -> "Polynomial":
+        """The polynomial with coefficients num[i] / den, for any nonzero den;
+        the pair is brought to lowest terms."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        p = object.__new__(cls)
+        p._store(list(num), den)
+        return p
 
     @staticmethod
     def const(v: Scalar) -> "Polynomial":
@@ -153,32 +174,32 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree of a nonzero polynomial.  The zero polynomial has none."""
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.num):
+            return Fraction(self.num[i], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self) -> str:
         from .parsing import format_poly
@@ -195,18 +216,19 @@ class Polynomial:
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial.from_ints(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial.from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -218,13 +240,12 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = _frac(other)
-            if c == 0:
-                return Polynomial()
-            return Polynomial(tuple(x * c for x in self.coeffs))
-        if not self.coeffs or not other.coeffs:
+            n, d = _ratio(other)
+            return Polynomial.from_ints([x * n for x in self.num], self.den * d)
+        if not self.num or not other.num:
             return Polynomial()
-        return Polynomial(_mul_coeffs(self.coeffs, other.coeffs))
+        prod = _int_conv(self.num, other.num)
+        return Polynomial.from_ints(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -246,10 +267,10 @@ class Polynomial:
             raise TypeError("divmod expects a Polynomial divisor")
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
+        if self.is_zero or len(self.num) < len(other.num):
             return Polynomial(), self
         rem = list(self.coeffs)
-        dn = len(other.coeffs) - 1
+        dn = len(other.num) - 1
         inv_lead = 1 / other.lead
         q = [Fraction(0)] * (len(rem) - dn)
         oc = other.coeffs
@@ -282,26 +303,25 @@ class Polynomial:
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitution self(inner(x)), by Horner in the outer coefficients.
 
-        Runs on denominator-cleared integer vectors, so each Horner step
-        is a single integer convolution rather than Fraction arithmetic.
+        Runs on the numerators, so each Horner step is a single integer
+        convolution; the denominator is self.den * inner.den^deg(self).
         """
         if self.is_constant:
             return self
         if inner.is_constant:
             return Polynomial.const(self(inner[0]))
-        outer, dg = _integer_form(self.coeffs)
-        hint, dh = _integer_form(inner.coeffs)
+        outer, hint, dh = self.num, inner.num, inner.den
         acc = [outer[-1]]
         dhpow = 1
         for k in range(len(outer) - 2, -1, -1):
             acc = _int_conv(acc, hint)
             dhpow *= dh
             acc[0] += outer[k] * dhpow
-        den = dg * dhpow
-        return Polynomial(tuple(Fraction(c, den) for c in acc))
+        return Polynomial.from_ints(acc, self.den * dhpow)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        num = [i * c for i, c in enumerate(self.num)]
+        return Polynomial.from_ints(num[1:], self.den)
 
     def shift_arg(self, lam: Scalar) -> "Polynomial":
         """self(x + lam)."""
@@ -324,20 +344,20 @@ class Polynomial:
 
     def even_odd_split(self) -> tuple["Polynomial", "Polynomial"]:
         """Return (even part, odd part); the two sum back to self."""
-        ev = [c if i % 2 == 0 else Fraction(0) for i, c in enumerate(self.coeffs)]
-        od = [c if i % 2 == 1 else Fraction(0) for i, c in enumerate(self.coeffs)]
-        return Polynomial(ev), Polynomial(od)
+        ev = [0 if i % 2 else c for i, c in enumerate(self.num)]
+        od = [c if i % 2 else 0 for i, c in enumerate(self.num)]
+        return Polynomial.from_ints(ev, self.den), Polynomial.from_ints(od, self.den)
 
     @property
     def is_odd_function(self) -> bool:
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
+        return not any(self.num[::2])
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
+        return tuple(i for i, c in enumerate(self.num) if c)
 
     def x_valuation(self) -> int:
         """Multiplicity of the root 0 (degree of the first nonzero term)."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c:
                 return i
         raise ValueError("the zero polynomial has no x-valuation")
@@ -346,18 +366,18 @@ class Polynomial:
         """If self = q(x^k), return q; otherwise None."""
         if k < 1:
             raise ValueError("inner power must be positive")
-        if any(c and i % k for i, c in enumerate(self.coeffs)):
+        if any(c and i % k for i, c in enumerate(self.num)):
             return None
-        return Polynomial(self.coeffs[::k])
+        return Polynomial.from_ints(self.num[::k], self.den)
 
     def inflate(self, k: int, s: int) -> "Polynomial":
         """x^s * self(x^k): coefficient j goes to exponent s + k*j, the
         inverse of slicing ``coeffs[s::k]``."""
         if k < 1 or s < 0:
             raise ValueError("inflate needs k >= 1 and s >= 0")
-        out = [Fraction(0)] * (s + k * (len(self.coeffs) - 1) + 1)
-        out[s::k] = self.coeffs
-        return Polynomial(out)
+        out = [0] * (s + k * (len(self.num) - 1) + 1)
+        out[s::k] = self.num
+        return Polynomial.from_ints(out, self.den)
 
     def deflate(self, k: int) -> "tuple[int, Polynomial] | None":
         """The inverse of ``inflate``: (s, g) with self = x^s * g(x^k) and
@@ -365,14 +385,14 @@ class Polynomial:
         if k < 1:
             raise ValueError("deflate needs k >= 1")
         s = self.x_valuation()
-        if any(c and (i - s) % k for i, c in enumerate(self.coeffs)):
+        if any(c and (i - s) % k for i, c in enumerate(self.num)):
             return None
-        return s, Polynomial(self.coeffs[s::k])
+        return s, Polynomial.from_ints(self.num[s::k], self.den)
 
     def forced_center(self) -> Fraction:
         """The only shift lam for which self(x + lam) has no x^(n-1) term."""
         n = self.degree
-        return -self[n - 1] / (n * self.lead)
+        return Fraction(-self.num[n - 1], n * self.num[n])
 
     def canonical_core(self) -> tuple["Unit", "Polynomial"]:
         """Write self = u (after) core with core monic and core(0) = 0.
@@ -382,14 +402,10 @@ class Polynomial:
         """
         if self.is_constant:
             raise ValueError("cannot normalize a constant polynomial")
-        lead = self.lead
-        const = self.coeffs[0]
-        if lead == 1 and const == 0:
+        if self.num[-1] == self.den and self.num[0] == 0:
             return Unit.identity(), self
-        core = Polynomial(
-            tuple((c - const if i == 0 else c) / lead for i, c in enumerate(self.coeffs))
-        )
-        return Unit(shift=const, scale=lead), core
+        core = Polynomial.from_ints((0,) + self.num[1:], self.num[-1])
+        return Unit(shift=self[0], scale=self.lead), core
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .poly import Polynomial, _integer_form
+from .poly import Polynomial
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The largest prime below 2^30: every residue fits in one CPython digit.
@@ -61,9 +61,8 @@ def divisors(n: int) -> list[int]:
 
 
 def _primitive_integer_form(p: Polynomial) -> list[int]:
-    ints, _ = _integer_form(p.coeffs)
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
+    content = math.gcd(*p.num)
+    return [c // content for c in p.num]
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -215,7 +214,7 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
     v = p.x_valuation()
     if v > 0:
         found.add(Fraction(0))
-        p = Polynomial(p.coeffs[v:])
+        p = Polynomial.from_ints(p.num[v:], p.den)
     if p.is_constant:
         return tuple(sorted(found))
     sints = _primitive_integer_form(p)
@@ -428,5 +427,5 @@ def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
     if root is None:
         return None
     num, den = root
-    r = Polynomial(Fraction(c, den) for c in reversed(num)) * lead_root
+    r = Polynomial.from_ints(reversed(num), den) * lead_root
     return r if r**k == p else None

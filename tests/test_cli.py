@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,14 @@ class TestBasics:
         assert code == 0
         assert json.loads(out)["found"] is False
 
+    def test_common_default_bound_is_the_degree_cap(self):
+        # lcm(128, 127) = 16256 > MAX_DEGREE: refused before any system is built
+        t0 = time.perf_counter()
+        code, out, err = run(["common", "--poly", "x^128+x", "--poly", "x^127+x^2"])
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (2, "")
+        assert "degree 16256 exceeds bound 4096" in err
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "polys.json"
         path.write_text(json.dumps(["x^2", "x^3 + x"]))
@@ -233,6 +242,19 @@ class TestCuspCommands:
         assert payload["move"]["factors"] == ["x^2", "x^2 - 1/4", "x^2 + 1/2"]
         assert payload["move"]["in_A"] == [True, True, True]
 
+    @pytest.mark.parametrize("shift", ["1e5000", "1/0", "0.5", "9" * 4301, "1/2x"])
+    def test_move_rejects_a_bad_shift(self, shift):
+        t0 = time.perf_counter()
+        code, out, err = run(
+            [
+                "cusp", "move", "--poly", "x^2", "--poly", "x^2 + x",
+                "--position", "1", "--kind", "adm", "--shift", shift,
+            ]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert "argument --shift" in err
+
 
     @pytest.mark.parametrize(
         "polys,kind,code,stdout,stderr",
@@ -317,6 +339,17 @@ class TestVerifySuites:
         code, out, _ = run(["verify", "--suite", "ritt1", "--trials", "20", "--seed", "42"])
         assert code == 0
         assert "pass" in out
+
+    @pytest.mark.parametrize("trials", ["-3", "-1", "x"])
+    def test_rejects_a_bad_trial_count(self, trials):
+        code, out, err = run(["verify", "--suite", "ritt1", "--trials", trials])
+        assert (code, out) == (1, "")
+        assert "argument --trials" in err
+
+    def test_zero_trials(self):
+        assert run(["verify", "--suite", "ritt1", "--trials", "0"]) == (
+            0, "suite ritt1: 0/0 pass\n", ""
+        )
 
     def test_seed_changes_corpus_not_outcome(self):
         a = run(["verify", "--suite", "ritt1", "--trials", "10", "--seed", "1"])

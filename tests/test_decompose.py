@@ -28,10 +28,10 @@ from polydecomp.decompose import (
 )
 from polydecomp.parsing import parse
 from polydecomp.poly import (
+    MAX_DEGREE,
     Polynomial,
     PostconditionError,
     Unit,
-    _integer_form,
     compose_all,
 )
 from polydecomp.roots import _int_series_root
@@ -136,8 +136,8 @@ def old_right_factor(a, d):
     m = n // d
     outer_unit, ahat = a.canonical_core()
     h = Polynomial([F(0)] + fraction_series_root(ahat.coeffs[::-1], m, d)[::-1])
-    hi, e = _integer_form(h.coeffs)
-    ai, da = _integer_form(ahat.coeffs)
+    hi, e = list(h.num), h.den
+    ai, da = list(ahat.num), ahat.den
     if pow(da, d, e):
         return None
     epow = [e**j for j in range(n + 1)]
@@ -253,7 +253,7 @@ class TestIntegerSeriesRoot:
                 [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9, 25))) for _ in range(rng.randint(1, 6))]
                 + [F(1)]
             )
-            ints, _ = _integer_form((r**m).coeffs)
+            ints = list((r**m).num)
             got = _int_series_root(ints[::-1], m, r.degree + 1)
             assert got is not None
             num, den = got
@@ -506,6 +506,13 @@ class TestCommonComposite:
     def test_rejects_units(self):
         with pytest.raises(ValueError):
             common_composite(parse("x + 1"), parse("x^2"))
+
+    def test_default_bound_is_the_degree_cap(self):
+        a, b = parse("x^128 + x"), parse("x^127 + x^2")
+        with pytest.raises(ValueError, match=f"16256 exceeds bound {MAX_DEGREE}"):
+            common_composite(a, b)
+        with pytest.raises(ValueError, match="16256 exceeds bound 16255"):
+            common_composite(a, b, 16255)
 
     def test_inconsistent_witness_raises_a_named_error(self, monkeypatch):
         real = decompose._solve_linear

@@ -6,6 +6,7 @@ schoolbook product (the packed path is the one piece with room for
 carry/sign mistakes).
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,60 @@ class TestConstruction:
         assert q.x_valuation() == 3
         with pytest.raises(ValueError):
             ZERO.x_valuation()
+
+
+class TestRepresentation:
+    """Numerators over one denominator, kept in a unique lowest-terms form."""
+
+    @given(st.lists(st.fractions(max_denominator=60), max_size=8))
+    def test_lowest_terms(self, cs):
+        q = Polynomial(cs)
+        stripped = list(cs)
+        while stripped and stripped[-1] == 0:
+            stripped.pop()
+        assert q.den > 0
+        assert math.gcd(q.den, *q.num) == 1
+        assert list(q.coeffs) == stripped
+        assert all(type(c) is int for c in q.num)
+        assert Polynomial.from_ints(q.num, q.den) == q
+
+    def test_zero(self):
+        assert (ZERO.num, ZERO.den) == ((), 1)
+        assert Polynomial.from_ints([0, 0], -6) == ZERO
+        assert Polynomial.from_ints([0, 0], -6).den == 1
+
+    def test_from_ints_normalises(self):
+        want = Polynomial([F(1, 2), 0, F(-3, 4)])
+        for num, den in (([2, 0, -3], 4), ([-2, 0, 3], -4), ([6, 0, -9, 0], 12)):
+            got = Polynomial.from_ints(num, den)
+            assert got == want
+            assert (got.num, got.den) == (want.num, want.den) == ((2, 0, -3), 4)
+            assert hash(got) == hash(want)
+        with pytest.raises(ZeroDivisionError):
+            Polynomial.from_ints([1], 0)
+
+    def test_hash_and_eq_read_integers(self, monkeypatch):
+        a = p("1/2 x^5 - 3/7 x^2 + 5/3")
+        b = p("5/3 - 3/7 x^2 + 1/2 x^5")
+        c = p("1/2 x^5 - 3/7 x^2 + 4/3")
+        a.coeffs, b.coeffs, c.coeffs  # built before the spy goes in
+        calls = []
+
+        def spy(name):
+            real = getattr(F, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(F, "__hash__", spy("__hash__"))
+        monkeypatch.setattr(F, "__eq__", spy("__eq__"))
+        assert hash(a) == hash(b)
+        assert a == b and a != c
+        assert len({a, b, c}) == 2
+        assert calls == []
 
 
 class TestArithmetic:
