@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
@@ -139,7 +140,7 @@ def _charpoly_of_multiplication(p: Polynomial, modulus: Polynomial) -> Polynomia
     which Newton's identities turn back into coefficients.
     """
     d = modulus.degree
-    a = [c / modulus.lead for c in reversed(modulus.coeffs)]
+    a = [Fraction(c, modulus.num[-1]) for c in reversed(modulus.num)]
     t = [Fraction(d)]
     for k in range(1, d):
         t.append(-k * a[k] - sum(a[j] * t[k - j] for j in range(1, k)))
@@ -148,7 +149,7 @@ def _charpoly_of_multiplication(p: Polynomial, modulus: Polynomial) -> Polynomia
     s = [Fraction(d)]
     for _ in range(d):
         power = (power * reduced) % modulus
-        s.append(sum(c * t[i] for i, c in enumerate(power.coeffs)))
+        s.append(sum(map(mul, power.num, t), Fraction(0)) / power.den)
     coeffs = [Fraction(1)]
     for k in range(1, d + 1):
         coeffs.append(-sum(coeffs[j] * s[k - j] for j in range(k)) / k)

@@ -123,7 +123,7 @@ def _cmd_parse(args) -> int:
     p = _one(args)
     payload = {
         "poly": format_poly(p),
-        "degree": p.degree,
+        "degree": None if p.is_zero else p.degree,
         "coefficients": format_coeffs(p),
     }
     _emit(args, payload, [format_poly(p)])
@@ -138,7 +138,7 @@ def _cmd_compose(args) -> int:
     payload = {
         "factors": [format_poly(p) for p in ps],
         "composite": format_poly(c),
-        "degree": c.degree,
+        "degree": None if c.is_zero else c.degree,
     }
     _emit(args, payload, [format_poly(c)])
     return 0

@@ -26,8 +26,8 @@ _NONZERO = (-3, -2, -1, 1, 2, 3)
 def indecomposable_factor(rng: random.Random, degree: int | None = None) -> Polynomial:
     """A random polynomial of prime degree (hence indecomposable)."""
     d = degree if degree is not None else rng.choice(PRIME_DEGREES)
-    coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-    coeffs.append(Fraction(rng.choice(_NONZERO)))
+    coeffs = [rng.randint(-3, 3) for _ in range(d)]
+    coeffs.append(rng.choice(_NONZERO))
     return Polynomial(coeffs)
 
 
@@ -53,17 +53,13 @@ def _force_critical_at_zero(factors: tuple[Polynomial, ...]) -> tuple[Polynomial
     whole chain-rule product. Solving for the linear coefficient is always
     possible and keeps the degree (and hence indecomposability) intact.
     """
-    t = Fraction(0)
+    t = 0
     for p in reversed(factors[1:]):
         t = p(t)
     head = factors[0]
-    correction = sum(
-        (j * head.coeffs[j] * t ** (j - 1) for j in range(2, head.degree + 1)),
-        Fraction(0),
-    )
-    coeffs = list(head.coeffs)
-    coeffs[1] = -correction
-    return (Polynomial(coeffs),) + factors[1:]
+    # Subtracting head'(t)*x lowers the derivative by head'(t) everywhere,
+    # so it vanishes at t; the linear coefficient becomes -(head'(t) - head[1]).
+    return (head - Polynomial.monomial(1, head.derivative()(t)),) + factors[1:]
 
 
 def cusp_corpus(seed: int = 42, count: int = 50) -> list[tuple[Polynomial, ...]]:
@@ -96,7 +92,7 @@ def _random_poly(rng: random.Random, degree: int) -> Polynomial:
 def _random_odd_poly(rng: random.Random) -> Polynomial:
     """Random odd polynomial of degree 3, 5, or 7."""
     d = rng.choice((3, 5, 7))
-    coeffs = [Fraction(0)] * (d + 1)
+    coeffs = [0] * (d + 1)
     for j in range(1, d, 2):
         coeffs[j] = _scaled_coeff(rng)
     coeffs[d] = _nonzero_scaled(rng)

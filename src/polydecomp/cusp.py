@@ -212,7 +212,7 @@ def _bracketings(r: int):
 
 def _member_key(member) -> tuple:
     return tuple(
-        tuple((c.numerator, c.denominator) for c in f.coeffs) for f in member
+        tuple(f[i].as_integer_ratio() for i in range(len(f.num))) for f in member
     )
 
 

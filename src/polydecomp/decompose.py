@@ -75,7 +75,7 @@ def scale_canonicalize(factors) -> tuple[Polynomial, ...]:
     for i in range(len(fs) - 1, 0, -1):
         mu = fs[i].lead
         if mu != 1:
-            fs[i] = Polynomial([c / mu for c in fs[i].coeffs])
+            fs[i] = fs[i] * (1 / mu)
             fs[i - 1] = fs[i - 1].scale_arg(mu)
     return tuple(fs)
 
@@ -298,7 +298,7 @@ def enumerate_classes(a: Polynomial) -> tuple[DecompositionClass, ...]:
     def sort_key(fs: tuple[Polynomial, ...]):
         return (
             tuple(f.degree for f in fs),
-            tuple(f.coeffs for f in fs),
+            tuple(tuple(f[i] for i in range(len(f.num))) for f in fs),
         )
 
     return tuple(

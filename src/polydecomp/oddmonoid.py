@@ -148,19 +148,8 @@ def _unit_equivalent_pair(
     """Whether (p2, q2) = (p . (mu x), (x / mu) . q) for some mu != 0."""
     if (p.degree, q.degree) != (p2.degree, q2.degree):
         return False
-    ratio = None
-    for i, c in enumerate(q.coeffs):
-        if c != 0 or q2[i] != 0:
-            if c == 0 or q2[i] == 0:
-                return False
-            r = c / q2[i]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    if ratio is None:
-        return True
-    return p.scale_arg(ratio) == p2 and ratio * q2 == q
+    ratio = q.lead / q2.lead
+    return ratio * q2 == q and p.scale_arg(ratio) == p2
 
 
 def classify_odd_swap(

@@ -10,7 +10,6 @@ and hashable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,8 +114,8 @@ class Polynomial:
     ``num[i] / den`` is the coefficient of x^i.  The pair is kept in lowest
     terms: den > 0, gcd(den, *num) == 1 and no trailing zeros, so the zero
     polynomial is ``((), 1)``.  That form is unique, so equality and the
-    hash compare integers.  ``coeffs`` is the same polynomial as a tuple of
-    ``Fraction``s, built on first use.
+    hash compare integers.  It is the only stored form: ``p[i]`` gives one
+    coefficient as a ``Fraction``.
     """
 
     num: tuple[int, ...]
@@ -138,11 +137,6 @@ class Polynomial:
             den //= g
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
-
-    @functools.cached_property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """``coeffs[i]`` is the coefficient of x^i, as a ``Fraction``."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
@@ -269,21 +263,24 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero or len(self.num) < len(other.num):
             return Polynomial(), self
-        rem = list(self.coeffs)
-        dn = len(other.num) - 1
-        inv_lead = 1 / other.lead
-        q = [Fraction(0)] * (len(rem) - dn)
-        oc = other.coeffs
-        for k in range(len(rem) - dn - 1, -1, -1):
-            c = rem[k + dn]
+        # Pseudo-division over Z: lead^k * A = Q * B + R, every step exact.
+        b = other.num
+        dn = len(b) - 1
+        k = len(self.num) - dn
+        scale = b[-1] ** k
+        rem = [c * scale for c in self.num]
+        q = [0] * k
+        for i in range(k - 1, -1, -1):
+            c = q[i] = rem[i + dn] // b[-1]
             if c:
-                c *= inv_lead
-                q[k] = c
                 for j in range(dn):
-                    if oc[j]:
-                        rem[k + j] -= c * oc[j]
-                rem[k + dn] = Fraction(0)
-        return Polynomial(q), Polynomial(rem[:dn])
+                    if b[j]:
+                        rem[i + j] -= c * b[j]
+        den = self.den * scale
+        return (
+            Polynomial.from_ints([c * other.den for c in q], den),
+            Polynomial.from_ints(rem[:dn], den),
+        )
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -294,11 +291,14 @@ class Polynomial:
     # -- evaluation and composition -----------------------------------
 
     def __call__(self, t: Scalar) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """Exact Horner evaluation at a rational point tn/td, on the
+        numerators: sum num[i] * tn^i * td^(n-i) over den * td^n."""
+        tn, td = _ratio(t)
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * tn + c * scale
+            scale *= td
+        return Fraction(acc * td, self.den * scale)  # scale is td^(n+1)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Substitution self(inner(x)), by Horner in the outer coefficients.
@@ -331,14 +331,16 @@ class Polynomial:
         return self.compose(Polynomial((lam, 1)))
 
     def scale_arg(self, mu: Scalar) -> "Polynomial":
-        """self(mu * x)."""
-        mu = _frac(mu)
-        out = []
-        p = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p *= mu
-        return Polynomial(out)
+        """self(mu * x): with mu = mn/md, num[i] becomes
+        num[i] * mn^i * md^(n-i) over den * md^n."""
+        if self.is_constant:
+            return self
+        mn, md = _ratio(mu)
+        n = len(self.num) - 1
+        return Polynomial.from_ints(
+            [c * mn**i * md ** (n - i) for i, c in enumerate(self.num)],
+            self.den * md**n,
+        )
 
     # -- support helpers ----------------------------------------------
 
@@ -372,7 +374,7 @@ class Polynomial:
 
     def inflate(self, k: int, s: int) -> "Polynomial":
         """x^s * self(x^k): coefficient j goes to exponent s + k*j, the
-        inverse of slicing ``coeffs[s::k]``."""
+        inverse of slicing ``num[s::k]``."""
         if k < 1 or s < 0:
             raise ValueError("inflate needs k >= 1 and s >= 0")
         out = [0] * (s + k * (len(self.num) - 1) + 1)

@@ -91,8 +91,8 @@ def test_criterion_02_power_swap_identity():
         coeffs.append(F(rng.choice((1, -1, 2, 3))))
         g = Polynomial(coeffs)
         inflated = [F(0)] * (gdeg * m + 1)
-        for i, c in enumerate(g.coeffs):
-            inflated[i * m] = c
+        for i in range(gdeg + 1):
+            inflated[i * m] = g[i]
         g_of_xm = Polynomial(inflated)
         left = Polynomial.monomial(m).compose(Polynomial.monomial(r) * g_of_xm)
         right = (Polynomial.monomial(r) * g**m).compose(Polynomial.monomial(m))

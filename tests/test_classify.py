@@ -151,7 +151,7 @@ def test_critical_values_are_roots():
 
 def sympy_critical_value_polynomial(p):
     x, y = sympy.symbols("x y")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+    expr = sum(sympy.Rational(c, p.den) * x**i for i, c in enumerate(p.num))
     res = sympy.Poly(sympy.resultant(sympy.diff(expr, x), expr - y, x), y, domain="QQ")
     return Polynomial(F(int(c.p), int(c.q)) for c in reversed(res.monic().all_coeffs()))
 

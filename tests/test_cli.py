@@ -77,6 +77,20 @@ class TestBasics:
         assert code == 0
         assert out.strip() == "x^6 + 2*x^4 + x^2"
 
+    def test_zero_polynomial_text(self):
+        for argv in (["parse", "--poly", "0"], ["compose", "--poly", "x^2", "--poly", "0"]):
+            assert run(argv + ["--format", "text"]) == (0, "0\n", "")
+
+    def test_zero_polynomial_json(self):
+        code, out, _ = run(["parse", "--poly", "0", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["poly"], payload["degree"], payload["coefficients"]) == ("0", None, [])
+        code, out, _ = run(["compose", "--poly", "x^2", "--poly", "0", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["composite"], payload["degree"]) == ("0", None)
+
     def test_decompose_example(self):
         code, out, _ = run(["decompose", "--poly", "x^8+2*x^6+x^4", "--format", "json"])
         assert code == 0

@@ -172,7 +172,7 @@ class TestClassifyCD:
             if a.degree <= 64:
                 subjects |= blocks_and_dressed_blocks(a)
         kinds = Counter()
-        for p in sorted(subjects, key=lambda q: (q.degree, q.coeffs)):
+        for p in sorted(subjects, key=lambda q: (q.degree, [q[i] for i in range(len(q.num))])):
             kind = classify_CD(p)
             assert kind == old_classify_CD(p), p
             kinds[kind] += 1

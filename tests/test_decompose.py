@@ -135,7 +135,7 @@ def old_right_factor(a, d):
     n = a.degree
     m = n // d
     outer_unit, ahat = a.canonical_core()
-    h = Polynomial([F(0)] + fraction_series_root(ahat.coeffs[::-1], m, d)[::-1])
+    h = Polynomial([F(0)] + fraction_series_root([ahat[i] for i in range(n, -1, -1)], m, d)[::-1])
     hi, e = list(h.num), h.den
     ai, da = list(ahat.num), ahat.den
     if pow(da, d, e):
@@ -257,7 +257,7 @@ class TestIntegerSeriesRoot:
             got = _int_series_root(ints[::-1], m, r.degree + 1)
             assert got is not None
             num, den = got
-            assert [F(c, den) for c in num] == list(reversed(r.coeffs))
+            assert [F(c, den) for c in num] == [r[i] for i in range(r.degree, -1, -1)]
 
     def test_stops_at_the_first_bad_term(self):
         # r_1 = 1/2 with da = 1 fails the test; f[2] must never be read

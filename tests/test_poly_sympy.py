@@ -8,6 +8,10 @@ zero coefficients and mixed denominators, so both sides of that switch
 are exercised; constant operands and the zero polynomial are included.
 sympy's `Poly.mul`, `Poly.compose` and `Poly.shift` over QQ are the oracle.
 
+`divmod` (integer pseudo-division) is checked against sympy's `div` on
+coefficients up to 10^30 over denominators up to 10^6, non-unit leads of
+either sign and quotients up to 60 terms, where lead^k is large.
+
 `squarefree_decomposition` and `poly_gcd` are checked against sympy's
 `sqf_list` and `gcd` (made monic), on planted products of powers and on
 hypothesis inputs.
@@ -27,6 +31,8 @@ x = sympy.Symbol("x")
 fracs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000)
 coeffs = st.one_of(st.just(F(0)), fracs)
 small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+big = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**6)
+big_coeffs = st.one_of(st.just(F(0)), big)
 
 
 def rational_polys(max_terms):
@@ -34,7 +40,7 @@ def rational_polys(max_terms):
 
 
 def to_sympy(a: Polynomial) -> sympy.Poly:
-    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)]
+    cs = [sympy.Rational(c, a.den) for c in reversed(a.num)]
     return sympy.Poly(cs or [0], x, domain="QQ")
 
 
@@ -66,6 +72,32 @@ def test_shift_arg(a, lam):
 def test_unit_apply_right(a, shift, scale):
     u = Unit(shift, scale)
     assert u.apply_right(a) == from_sympy(to_sympy(a).compose(to_sympy(u.as_poly())))
+
+
+def check_divmod(a, b):
+    q, r = divmod(a, b)
+    sq, sr = to_sympy(a).div(to_sympy(b))
+    assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+
+@given(
+    a=st.lists(big_coeffs, max_size=60).map(Polynomial),
+    low=st.lists(big_coeffs, max_size=19),
+    lead=big.filter(lambda c: c not in (0, 1, -1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_divmod(a, low, lead):
+    check_divmod(a, Polynomial(low + [lead]))
+
+
+def test_divmod_fixed_cases():
+    long = Polynomial(F((-1) ** k * 10**25 + k, 3**k + 2) for k in range(60))
+    negative_lead = Polynomial([F(5, 7)] * 20 + [F(-37, 11)])
+    check_divmod(long, negative_lead)  # a 40-term quotient, lead^40 scaling
+    check_divmod(long, Polynomial.const(F(-7, 3)))
+    check_divmod(negative_lead, long)
+    assert divmod(negative_lead, long) == (Polynomial(), negative_lead)
+    assert divmod(long, Polynomial.const(F(-7, 3))) == (long * F(-3, 7), Polynomial())
 
 
 def test_fixed_edge_cases(monkeypatch):

@@ -42,7 +42,7 @@ def poly_with_roots(roots, cofactor=ONE, lead=1):
 def sympy_rational_roots(q):
     import sympy
 
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(q.coeffs)]
+    coeffs = [sympy.Rational(c, q.den) for c in reversed(q.num)]
     found = sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").ground_roots()
     return tuple(sorted(F(int(r.p), int(r.q)) for r in found))
 
