@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial
+from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial, _int_text
 
 
 class ParseError(ValueError):
@@ -189,18 +189,6 @@ def parse_rational(text: str) -> Fraction:
     if tok is not None:
         raise ParseError(tok[2], f"expected the end of the rational, got {tok[1]!r}")
     return value
-
-
-def _int_text(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # past the interpreter's int-to-str digit limit
-        pass
-    if n < 0:
-        return "-" + _int_text(-n)
-    k = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
-    hi, lo = divmod(n, 10**k)
-    return _int_text(hi) + _int_text(lo).zfill(k)
 
 
 def _rational_text(n: int, d: int) -> str:

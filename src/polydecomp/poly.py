@@ -10,6 +10,7 @@ and hashable.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,21 @@ MAX_LITERAL_DIGITS = 4300
 # Below these sizes plain convolution beats the big-int packing path.
 _PACKED_MUL_MIN_TERMS = 2
 _PACKED_MUL_MIN_AREA = 512
+# From this size, (la + lb) * bits(bound), libmpdec's number-theoretic
+# multiply beats CPython's Karatsuba on the packed operands (ROADMAP item 2
+# has the measurement).
+_DECIMAL_MUL_MIN_SIZE = 300_000
+
+# Decimal arithmetic on integers that is exact or raises: any rounding,
+# however small, is an error rather than a wrong digit.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow
+    ],
+)
 
 
 class PostconditionError(ValueError):
@@ -49,6 +65,32 @@ def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(*_ratio(v))
 
 
+def _int_text(n: int) -> str:
+    """str(n) at any size.  Past the interpreter's int-to-str digit limit
+    n is written in halves split by a power of ten; the limit is never
+    raised."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _text_int(s: str) -> int:
+    """int(s) for a string of decimal digits at any length, the inverse of
+    `_int_text` on nonnegative values, split in halves past the limit."""
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    k = len(s) // 2
+    return _text_int(s[:-k]) * 10**k + _text_int(s[-k:])
+
+
 def _unpack_nonneg(n: int, nbytes: int, count: int) -> list[int]:
     raw = n.to_bytes(nbytes * count, "little")
     return [
@@ -57,20 +99,23 @@ def _unpack_nonneg(n: int, nbytes: int, count: int) -> list[int]:
     ]
 
 
-def _int_mul_packed(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _conv_bound(a: Sequence[int], b: Sequence[int]) -> int:
+    """min(la, lb) * max|a| * max|b|, with a zero operand's max taken as 1:
+    no coefficient of a, of b or of their convolution exceeds it in
+    absolute value."""
+    return min(len(a), len(b)) * (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1)
+
+
+def _int_mul_packed(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
     """Multiply integer coefficient sequences via Kronecker substitution.
 
     Signed coefficients are packed directly; the product's digits are
     recovered in balanced form by adding an offset that shifts every digit
     into [0, 2^width) before the byte-level unpack.  One big-int product
-    total, exact for any signs.
+    total, exact for any signs while ``bound`` is `_conv_bound(a, b)` or
+    more.
     """
     out_len = len(a) + len(b) - 1
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    if amax == 0 or bmax == 0:
-        return [0] * out_len
-    bound = min(len(a), len(b)) * amax * bmax
     nbytes = bound.bit_length() // 8 + 1
     prod = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
     half = 1 << (8 * nbytes - 1)
@@ -92,11 +137,41 @@ def _pack_signed(cs: Sequence[int], nbytes: int) -> int:
     return int.from_bytes(blob, "little") - bias
 
 
+def _int_mul_decimal(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]:
+    """`_int_mul_packed` in base 10^w, with the one product done by libmpdec.
+
+    Each coefficient is biased by half = 10^w / 2 into one w-digit slot of
+    decimal text, the texts are joined into one `Decimal` and the repeated
+    bias is subtracted.  The product is exact in `_EXACT`; adding the bias
+    back leaves the balanced slots as w-digit slices of its text.  Text is
+    converted in chunks past the interpreter's digit limit.
+    """
+    out_len = len(a) + len(b) - 1
+    w = len(_int_text(2 * bound))  # 10^w > 2 * bound, so every slot fits
+    half = 5 * 10 ** (w - 1)
+    half_text = "5" + "0" * (w - 1)
+
+    def bias(count: int) -> decimal.Decimal:
+        return decimal.Decimal(half_text * count)
+
+    def pack(cs: Sequence[int]) -> decimal.Decimal:
+        text = "".join([_int_text(c + half).zfill(w) for c in reversed(cs)])
+        return _EXACT.subtract(decimal.Decimal(text), bias(len(cs)))
+
+    prod = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), bias(out_len))
+    text = str(prod).zfill(w * out_len)
+    return [_text_int(text[i - w:i]) - half for i in range(w * out_len, 0, -w)]
+
+
 def _int_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Convolution of integer sequences, packed when the size justifies it."""
+    """Convolution of integer sequences in three size tiers: schoolbook,
+    then one packed big-int product, then one packed libmpdec product."""
     la, lb = len(a), len(b)
     if min(la, lb) >= _PACKED_MUL_MIN_TERMS and la * lb >= _PACKED_MUL_MIN_AREA:
-        return _int_mul_packed(a, b)
+        bound = _conv_bound(a, b)
+        if (la + lb) * bound.bit_length() >= _DECIMAL_MUL_MIN_SIZE:
+            return _int_mul_decimal(a, b, bound)
+        return _int_mul_packed(a, b, bound)
     out = [0] * (la + lb - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -122,6 +197,10 @@ class Polynomial:
     den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
+        coeffs = list(coeffs)
+        if all(type(c) is int for c in coeffs):
+            self._store(coeffs, 1)
+            return
         pairs = [_ratio(c) for c in coeffs]
         den = math.lcm(*[d for _, d in pairs])
         self._store([n * (den // d) for n, d in pairs], den)

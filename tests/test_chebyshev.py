@@ -7,6 +7,7 @@ doubling formulas the implementation runs on; the three-term recurrence,
 run iteratively, is a second oracle.
 """
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from polydecomp.chebyshev import chebyshev, chebyshev_reduction_identities, extract_odd_base
 from polydecomp.decompose import enumerate_classes
 from polydecomp.parsing import parse
-from polydecomp.poly import ONE, X
+from polydecomp.poly import MAX_DEGREE, ONE, X
 from polydecomp.roots import poly_gcd
 
 
@@ -130,3 +131,21 @@ def test_cache_is_bounded():
     assert chebyshev.cache_info().currsize <= size
     for n, text in FROZEN.items():
         assert chebyshev(n) == parse(text)
+
+
+def test_degree_cap_within_budget():
+    # the last doubling steps are multi-megabit products, which take the
+    # decimal tier of the product kernel; by Karatsuba alone T_4096 took
+    # about 5 s on a 2-core host where it now takes about 1.1 s
+    chebyshev.cache_clear()
+    t0 = time.perf_counter()
+    t = chebyshev(MAX_DEGREE)
+    elapsed = time.perf_counter() - t0
+    n = MAX_DEGREE
+    assert t.den == 1 and t.num[-1] == 2 ** (n - 1)
+    assert t(1) == 1 and t(-1) == (-1) ** n
+    assert not any(t.num[1::2])
+    # the composition law at the cap, through a product of two
+    # 2049-term operands
+    assert chebyshev(2).compose(chebyshev(n // 2)) == t
+    assert elapsed < 3.0

@@ -1,19 +1,22 @@
 """Core polynomial arithmetic.
 
 Hand-computed oracles for the small cases, hypothesis for the ring laws,
-and a direct cross-check of the packed integer convolution against the
-schoolbook product (the packed path is the one piece with room for
-carry/sign mistakes).
+and a direct cross-check of both packed integer convolutions, binary and
+decimal, against the schoolbook product (the packed paths are the pieces
+with room for carry/sign mistakes).
 """
 
+import decimal
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydecomp.poly import ONE, X, ZERO, Polynomial, Unit, compose_all
-from polydecomp.poly import _int_conv, _int_mul_packed
+from polydecomp import poly
+from polydecomp.poly import _conv_bound, _int_conv, _int_mul_decimal, _int_mul_packed
 from polydecomp.parsing import parse
 
 
@@ -48,6 +51,17 @@ class TestConstruction:
         assert Polynomial.const(F(2, 3)) == p("2/3")
         assert Polynomial.monomial(5) == p("x^5")
         assert Polynomial.monomial(3, F(-1, 2)) == p("-1/2 x^3")
+
+    def test_int_and_fraction_inputs_agree(self):
+        for cs in ([3, -1, 4, 1, -5, 9, 2, 6], [0, 0, 7, 0], [0], [], [10**40, -3]):
+            assert Polynomial(cs) == Polynomial([F(c) for c in cs])
+            assert Polynomial(cs) == Polynomial.from_ints(cs, 1)
+        assert Polynomial([2, F(1, 2)]) == Polynomial.from_ints([4, 1], 2)
+
+    def test_non_rational_coefficients_rejected(self):
+        for bad in ([1, 2.0], [True, 2], [1, False]):
+            with pytest.raises(TypeError, match="must be int or Fraction"):
+                Polynomial(bad)
 
     def test_const_rejects_strings(self):
         with pytest.raises(TypeError):
@@ -218,24 +232,99 @@ class TestPackedMultiply:
     def test_agrees_with_schoolbook(self, a, b):
         assert _int_conv(a, b) == self.schoolbook(a, b)
 
+    # adversarial sign patterns, and an all-zero operand
+    SIGN_CASES = [
+        ([1], [1]),
+        ([-1, -1, -1], [-1, -1, -1]),
+        ([2**63 - 1, -(2**63)], [2**63, 2**63 - 1]),
+        ([0, 0, 5], [7, 0, 0]),
+        ([10**30, -(10**30)], [10**30, 10**30]),
+        ([0, 0, 0], [3, -4]),
+    ]
+
     def test_packed_path_directly(self):
         # small vectors would normally take the schoolbook branch, so call
-        # the packed routine itself on adversarial sign patterns
-        cases = [
-            ([1], [1]),
-            ([-1, -1, -1], [-1, -1, -1]),
-            ([2**63 - 1, -(2**63)], [2**63, 2**63 - 1]),
-            ([0, 0, 5], [7, 0, 0]),
-            ([10**30, -(10**30)], [10**30, 10**30]),
-        ]
-        for a, b in cases:
-            assert _int_mul_packed(a, b) == self.schoolbook(a, b)
+        # the packed routine itself
+        for a, b in self.SIGN_CASES:
+            assert _int_mul_packed(a, b, _conv_bound(a, b)) == self.schoolbook(a, b)
 
     def test_huge_coefficient_product(self):
         n = 10**200
         a = [n, -n, n]
         b = [-n, n]
         assert _int_conv(a, b) == self.schoolbook(a, b)
+
+
+class TestDecimalMultiply:
+    """The libmpdec tier of `_int_conv`: packed in base 10^w, exact or
+    raising.  CI also runs these with a low int-to-str digit limit, so the
+    chunked text conversions run at small sizes."""
+
+    schoolbook = staticmethod(TestPackedMultiply.schoolbook)
+
+    def test_decimal_path_directly(self):
+        for a, b in TestPackedMultiply.SIGN_CASES:
+            assert _int_mul_decimal(a, b, _conv_bound(a, b)) == self.schoolbook(a, b)
+
+    def test_real_size_product_takes_the_decimal_tier(self, monkeypatch):
+        # a long operand with big coefficients times a shorter one, as in
+        # the Horner steps of compose, above the crossover
+        rng = random.Random(14)
+        a = [rng.randrange(-(2**1000), 2**1000) for _ in range(400)]
+        b = [rng.randrange(-(2**60), 2**60) for _ in range(300)]
+        bound = _conv_bound(a, b)
+        assert (len(a) + len(b)) * bound.bit_length() >= poly._DECIMAL_MUL_MIN_SIZE
+        calls = []
+        decimal_mul = poly._int_mul_decimal
+        monkeypatch.setattr(
+            poly, "_int_mul_decimal",
+            lambda *args: calls.append(1) or decimal_mul(*args),
+        )
+        assert _int_conv(a, b) == _int_mul_packed(a, b, bound)
+        assert calls == [1]
+
+    def test_slot_wider_than_the_digit_limit(self):
+        # 2 * bound has more than 4300 digits, so every slot text is
+        # converted in chunks both ways
+        n = 10**2200 + 12345
+        a = [n, -n, n - 1, 0, -n]
+        b = [-n, n + 7, 3]
+        bound = _conv_bound(a, b)
+        assert len(str(decimal.Decimal(2 * bound))) > 4300
+        assert _int_mul_decimal(a, b, bound) == self.schoolbook(a, b)
+        big = [n * (k - 12) for k in range(25)]
+        assert _int_conv(big, big) == self.schoolbook(big, big)
+
+    def test_chunked_text_round_trip(self):
+        # Decimal(int) and str(Decimal) are not under the digit limit
+        for n in (0, 7, 10**5000 - 1, 10**5000, 3**12000, 10**4400 + 1):
+            text = poly._int_text(n)
+            assert text == str(decimal.Decimal(n))
+            assert poly._int_text(-n) == str(decimal.Decimal(-n))
+            assert poly._text_int(text) == n
+            assert poly._text_int(text.zfill(len(text) + 9)) == n
+
+    def test_context_traps_rounding(self):
+        ctx = poly._EXACT
+        for signal in (
+            decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow
+        ):
+            assert ctx.traps[signal]
+        assert ctx.prec == decimal.MAX_PREC
+        # the same traps at a small precision show that a rounding raises
+        small = ctx.copy()
+        small.prec = 5
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            small.multiply(decimal.Decimal(123456), decimal.Decimal(7))
+
+    def test_global_context_untouched(self):
+        before = decimal.getcontext().copy()
+        a = [3**700 - k for k in range(300)]
+        bound = _conv_bound(a, a)
+        assert _int_mul_decimal(a, a, bound) == _int_mul_packed(a, a, bound)
+        after = decimal.getcontext()
+        for field in ("prec", "traps", "flags"):
+            assert getattr(after, field) == getattr(before, field)
 
 
 class TestStructure:
