@@ -38,7 +38,6 @@ from .cusp import (
 )
 from .decompose import (
     Decomposition,
-    DecompositionClass,
     Ritt1Report,
     canonicalize,
     common_composite,
@@ -49,7 +48,6 @@ from .decompose import (
     ritt1_check,
 )
 from .oddmonoid import (
-    OddDecomposition,
     OddSwapResult,
     adjust_to_odd,
     classify_odd_swap,
@@ -64,12 +62,10 @@ __all__ = [
     "ADecompositions",
     "CuspReport",
     "Decomposition",
-    "DecompositionClass",
     "IrrationalRootRequiredError",
     "MaxBase",
     "MaxSkeleton",
     "MoveResult",
-    "OddDecomposition",
     "OddSwapResult",
     "ParseError",
     "PatternMismatchError",

@@ -17,15 +17,18 @@ from .poly import MAX_DEGREE, Polynomial, Unit, X
 from .roots import is_probable_prime
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def chebyshev(n: int) -> Polynomial:
     """T_n, by T_{2k} = 2 T_k^2 - 1 and T_{2k+1} = 2 T_k T_{k+1} - x.
 
-    deg T_n = n and the leading coefficient is 2^(n-1).  Raises ValueError
-    for n < 1 and for n above the degree cap ``poly.MAX_DEGREE``.  The
-    cache is bounded: T_k takes about k^2/16 bytes, so keeping every T_k
-    up to the cap could pin about a gigabyte.
+    deg T_n = n and the leading coefficient is 2^(n-1).  Raises TypeError
+    unless n is an int and not a bool (the cache is typed, so 2.0 never
+    reaches the entry of 2), and ValueError for n < 1 or n above the degree
+    cap ``poly.MAX_DEGREE``.  The cache is bounded: T_k takes about k^2/16
+    bytes, so keeping every T_k up to the cap could pin about a gigabyte.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"Chebyshev index must be an int, got {type(n).__name__}")
     if n < 1:
         raise ValueError("Chebyshev index must be at least 1")
     if n > MAX_DEGREE:

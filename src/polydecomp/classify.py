@@ -17,7 +17,6 @@ from operator import mul
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
-from .parsing import format_coeffs, format_rational
 from .poly import Polynomial, Unit
 from .roots import (
     count_real_roots,
@@ -53,30 +52,6 @@ class ShapeClass:
         """Rebuild the classified polynomial from the witness data."""
         mid = self.inner_unit.apply_right(self.core())
         return self.outer_unit.apply_left(mid)
-
-    def to_json(self) -> dict:
-        out: dict = {"tag": self.tag}
-        if self.prime is not None:
-            out["prime"] = self.prime
-        if self.variant is not None:
-            out["variant"] = self.variant
-        if self.s is not None:
-            out["s"] = self.s
-        if self.center is not None:
-            out["center"] = format_rational(self.center)
-        if self.witness_g is not None:
-            out["witness_g"] = format_coeffs(self.witness_g)
-        if self.outer_unit is not None:
-            out["outer_unit"] = {
-                "scale": format_rational(self.outer_unit.scale),
-                "shift": format_rational(self.outer_unit.shift),
-            }
-        if self.inner_unit is not None:
-            out["inner_unit"] = {
-                "scale": format_rational(self.inner_unit.scale),
-                "shift": format_rational(self.inner_unit.shift),
-            }
-        return out
 
 
 def _try_power(p: Polynomial) -> Optional[ShapeClass]:
@@ -282,15 +257,6 @@ class RittInvariants:
     @property
     def has_undetermined(self) -> bool:
         return self.n_undetermined > 0
-
-    def to_json(self) -> dict:
-        return {
-            "n_P": self.n_P,
-            "n_Q": self.n_Q,
-            "n_R": self.n_R,
-            "n_undetermined": self.n_undetermined,
-            "n_P_by_prime": {str(l): c for l, c in self.p_by_prime},
-        }
 
 
 def invariants_of_factors(factors) -> RittInvariants:

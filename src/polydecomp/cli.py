@@ -15,6 +15,7 @@ operation needs an admissible shift that is irrational.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import random
@@ -34,10 +35,8 @@ from .corpus import (
 from .cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
-    _report_from_skeleton,
     apply_cusp_move,
     compose_in_A_criterion,
-    cusp_report,
     enumerate_A_decompositions,
     in_A,
     max_decompositions,
@@ -49,8 +48,9 @@ from .decompose import (
     ritt1_check,
 )
 from .oddmonoid import classify_odd_swap, decompose_in_O, is_irreducible_in_O, is_odd
-from .parsing import ParseError, format_coeffs, format_poly, parse, parse_rational
-from .poly import MAX_DEGREE, Polynomial, compose_all
+from .parsing import ParseError, format_coeffs, format_poly, format_rational, parse
+from .parsing import parse_rational
+from .poly import MAX_DEGREE, Polynomial, Unit, compose_all
 
 _SUITES = ("ritt1", "invariants", "chebyshev", "odd", "cusp", "all")
 _SUITE_TRIALS = {"ritt1": 200, "invariants": 200, "odd": 1000, "cusp": 50}
@@ -119,6 +119,63 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _set_fields_json(result, skip: tuple[str, ...] = ()) -> dict:
+    """The fields of a result dataclass that are set: polynomials as
+    coefficient lists, rationals as text, units as {scale, shift}."""
+    out = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if value is None or field.name in skip:
+            continue
+        if isinstance(value, Polynomial):
+            value = format_coeffs(value)
+        elif isinstance(value, Fraction):
+            value = format_rational(value)
+        elif isinstance(value, Unit):
+            value = {k: format_rational(getattr(value, k)) for k in ("scale", "shift")}
+        out[field.name] = value
+    return out
+
+
+def _invariants_json(inv) -> dict:
+    return {
+        "n_P": inv.n_P,
+        "n_Q": inv.n_Q,
+        "n_R": inv.n_R,
+        "n_undetermined": inv.n_undetermined,
+        "n_P_by_prime": {str(l): c for l, c in inv.p_by_prime},
+    }
+
+
+def _report_json(rep) -> dict:
+    return {
+        "degree": rep.degree,
+        "length": rep.length,
+        "index_at_zero": rep.index,
+        "defect": rep.defect,
+        "regular": rep.regular,
+        "rational_realizable": rep.rational_realizable,
+    }
+
+
+def _skeleton_json(sk) -> dict:
+    return {
+        "degree": sk.target.degree,
+        "index_at_zero": sk.index,
+        "bases": [
+            {
+                "class": [format_coeffs(f) for f in b.factors],
+                "position": b.position,
+                "shift_sets": [[format_rational(s) for s in ss] for ss in b.shift_sets],
+                "degree_multiset": list(b.degree_multiset),
+                "rational_instantiable": b.rational_instantiable,
+            }
+            for b in sk.bases
+        ],
+        "degree_multisets": [list(m) for m in sk.degree_multisets],
+    }
+
+
 def _cmd_parse(args) -> int:
     p = _one(args)
     payload = {
@@ -179,14 +236,14 @@ def _cmd_classes(args) -> int:
 
 def _cmd_classify(args) -> int:
     shape = classify_shape(_one(args))
-    payload = {"shape": shape.to_json()}
+    payload = {"shape": _set_fields_json(shape, skip=("source",))}
     _emit(args, payload, [f"tag: {shape.tag}"])
     return 0
 
 
 def _cmd_invariants(args) -> int:
     inv = ritt_invariants(_one(args))
-    payload = {"invariants": inv.to_json()}
+    payload = {"invariants": _invariants_json(inv)}
     lines = [
         f"n_P={inv.n_P} n_Q={inv.n_Q} n_R={inv.n_R} "
         f"undetermined={inv.n_undetermined}",
@@ -247,7 +304,7 @@ def _cmd_odd_analyze(args) -> int:
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 res = classify_odd_swap(*pairs[i], *pairs[j])
-                swaps.append(res.to_json())
+                swaps.append(_set_fields_json(res))
                 lines.append(f"swap {i},{j}: kind {res.kind}")
         payload["swaps"] = swaps
     _emit(args, payload, lines)
@@ -259,15 +316,15 @@ def _cmd_odd_swap(args) -> int:
     if len(ps) != 4:
         raise ValueError("odd swap needs four polynomials: p q p* q*")
     res = classify_odd_swap(ps[0], ps[1], ps[2], ps[3])
-    _emit(args, {"swap": res.to_json()}, [f"kind {res.kind}"])
+    _emit(args, {"swap": _set_fields_json(res)}, [f"kind {res.kind}"])
     return 0
 
 
 def _cmd_cusp_report(args) -> int:
     a = _one(args)
     sk = max_decompositions(a)
-    rep = _report_from_skeleton(sk)
-    payload = {"report": rep.to_json(), "max_skeleton": sk.to_json()}
+    rep = sk.report
+    payload = {"report": _report_json(rep), "max_skeleton": _skeleton_json(sk)}
     lines = [
         f"degree {rep.degree}: length {rep.length}, index at zero {rep.index}, "
         f"defect {rep.defect}, {'regular' if rep.regular else 'irregular'}, "
@@ -411,8 +468,8 @@ def _suite_cusp(seed: int, trials: int) -> tuple[int, list[str]]:
         try:
             if not in_A(a):
                 raise ValueError("corpus element escaped A")
-            rep = cusp_report(a)
             sk = max_decompositions(a)
+            rep = sk.report
             ok = rep.index == sk.index and rep.length >= rep.index
             if rep.regular and len(sk.degree_multisets) != 1:
                 ok = False

@@ -32,7 +32,6 @@ from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
-from .parsing import format_coeffs, format_rational
 from .poly import Polynomial, PostconditionError, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
@@ -151,16 +150,6 @@ class CuspReport:
     def regular(self) -> bool:
         return self.defect == 0
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "length": self.length,
-            "index_at_zero": self.index,
-            "defect": self.defect,
-            "regular": self.regular,
-            "rational_realizable": self.rational_realizable,
-        }
-
 
 def cusp_report(a: Polynomial) -> CuspReport:
     """Length of full decompositions, index at zero, defect, regularity,
@@ -171,17 +160,7 @@ def cusp_report(a: Polynomial) -> CuspReport:
     length is read off one class: all classes share it by Ritt's first
     theorem, which ritt1_check tests.
     """
-    return _report_from_skeleton(max_decompositions(a))
-
-
-def _report_from_skeleton(sk: MaxSkeleton) -> CuspReport:
-    """The cusp_report of sk.target, read off its maximal skeleton."""
-    return CuspReport(
-        degree=sk.target.degree,
-        length=len(sk.bases[0].factors),
-        index=sk.index,
-        rational_realizable=any(b.rational_instantiable for b in sk.bases),
-    )
+    return max_decompositions(a).report
 
 
 @dataclass(frozen=True)
@@ -195,13 +174,6 @@ class ADecompositions:
     @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(sorted({len(m) for m in self.members}))
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.target.degree,
-            "lengths": list(self.lengths),
-            "members": [[format_coeffs(f) for f in m] for m in self.members],
-        }
 
 
 def _bracketings(r: int):
@@ -319,15 +291,6 @@ class MaxBase:
             raise PostconditionError("the tail block is not A-irreducible")
         return tuple(out)
 
-    def to_json(self) -> dict:
-        return {
-            "class": [format_coeffs(f) for f in self.factors],
-            "position": self.position,
-            "shift_sets": [[format_rational(s) for s in ss] for ss in self.shift_sets],
-            "degree_multiset": list(self.degree_multiset),
-            "rational_instantiable": self.rational_instantiable,
-        }
-
 
 @dataclass(frozen=True)
 class MaxSkeleton:
@@ -341,6 +304,16 @@ class MaxSkeleton:
     def degree_multisets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted({b.degree_multiset for b in self.bases}))
 
+    @property
+    def report(self) -> CuspReport:
+        """The cusp_report of the target, read off this skeleton."""
+        return CuspReport(
+            degree=self.target.degree,
+            length=len(self.bases[0].factors),
+            index=self.index,
+            rational_realizable=any(b.rational_instantiable for b in self.bases),
+        )
+
     def default_instantiations(self) -> tuple[tuple[Polynomial, ...], ...]:
         """One concrete maximal A-decomposition per rationally instantiable
         base, using the smallest admissible shift at every position."""
@@ -349,14 +322,6 @@ class MaxSkeleton:
             if b.rational_instantiable:
                 out.append(b.instantiate([ss[0] for ss in b.shift_sets]))
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.target.degree,
-            "index_at_zero": self.index,
-            "bases": [b.to_json() for b in self.bases],
-            "degree_multisets": [list(m) for m in self.degree_multisets],
-        }
 
 
 def max_decompositions(a: Polynomial) -> MaxSkeleton:
@@ -406,14 +371,6 @@ class MoveResult:
     @property
     def in_A(self) -> tuple[bool, ...]:
         return tuple(in_A(f) for f in self.factors)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "position": self.position,
-            "factors": [format_coeffs(f) for f in self.factors],
-            "in_A": list(self.in_A),
-        }
 
 
 def _binomial_power_degree(p: Polynomial) -> int | None:

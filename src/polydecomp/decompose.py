@@ -36,21 +36,6 @@ class Decomposition:
         )
 
 
-@dataclass(frozen=True)
-class DecompositionClass:
-    """A unit-equivalence class, keyed by its canonical representative."""
-
-    representative: Decomposition
-
-    @property
-    def factors(self) -> tuple[Polynomial, ...]:
-        return self.representative.factors
-
-    @property
-    def degree_sequence(self) -> tuple[int, ...]:
-        return self.representative.degree_sequence
-
-
 def canonicalize(factors) -> tuple[Polynomial, ...]:
     """Thread units right to left until all non-leftmost factors are monic
     with zero constant term.  Preserves the composition exactly; a factor
@@ -262,16 +247,21 @@ def complete_decomposition(a: Polynomial) -> Decomposition:
 
 
 @lru_cache(maxsize=256)
-def enumerate_classes(a: Polynomial) -> tuple[DecompositionClass, ...]:
-    """All unit-equivalence classes of complete decompositions of a.
+def enumerate_classes(a: Polynomial) -> tuple[Decomposition, ...]:
+    """All unit-equivalence classes of complete decompositions of a, each
+    as its canonical Decomposition, sorted by degree sequence and then by
+    coefficients.
 
     Breadth-first search from the greedy decomposition: each move recombines
     an adjacent factor pair and re-splits the product at every other proper
-    divisor degree, keeping only splits into two indecomposables.  States
-    are deduplicated by canonical form.  Output is sorted by degree sequence
-    and then lexicographically by coefficients, so it is deterministic.
+    divisor degree.  Every state is canonical, so coefficient equality
+    dedups classes: `right_factor` gives h monic with h(0) = 0 and a g with
+    the lead and constant of the pair product, itself monic with zero
+    constant when both factors are.  Every split is into indecomposables:
+    by Ritt's first theorem (Engstrom's form) all complete decompositions
+    of the pair product have length 2, as the pair does.
     """
-    start = canonicalize(complete_decomposition(a).factors)
+    start = complete_decomposition(a).factors
     seen = {start}
     frontier = [start]
     while frontier:
@@ -286,10 +276,7 @@ def enumerate_classes(a: Polynomial) -> tuple[DecompositionClass, ...]:
                     split = right_factor(pair_product, d)
                     if split is None:
                         continue
-                    g, h = split
-                    if not (is_indecomposable(g) and is_indecomposable(h)):
-                        continue
-                    cand = canonicalize(fs[:i] + (g, h) + fs[i + 2:])
+                    cand = fs[:i] + split + fs[i + 2:]
                     if cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
@@ -301,9 +288,7 @@ def enumerate_classes(a: Polynomial) -> tuple[DecompositionClass, ...]:
             tuple(tuple(f[i] for i in range(len(f.num))) for f in fs),
         )
 
-    return tuple(
-        DecompositionClass(Decomposition(fs, a)) for fs in sorted(seen, key=sort_key)
-    )
+    return tuple(Decomposition(fs, a) for fs in sorted(seen, key=sort_key))
 
 
 @dataclass(frozen=True)

@@ -20,22 +20,12 @@ from typing import Optional
 from .chebyshev import _dressed_odd_chebyshev_degree
 from .decompose import Decomposition, enumerate_classes, is_indecomposable
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
-from .parsing import format_coeffs
-from .poly import Polynomial, compose_all
+from .poly import Polynomial
 from .roots import is_probable_prime, poly_kth_root
 
 
 def is_odd(p: Polynomial) -> bool:
     return p.is_odd_function
-
-
-class OddDecomposition(Decomposition):
-    """A decomposition whose factors all lie in the odd monoid."""
-
-    def verify(self) -> bool:
-        return all(is_odd(f) for f in self.factors) and (
-            compose_all(self.factors) == self.target
-        )
 
 
 # Public, and traced by perfbench/tracer.py's LAYERS; the odd classes do not
@@ -68,16 +58,16 @@ def _check_odd_input(a: Polynomial, name: str) -> None:
         raise ValueError(f"{name} expects degree >= 2")
 
 
-def decompose_in_O(a: Polynomial) -> tuple[OddDecomposition, ...]:
+def decompose_in_O(a: Polynomial) -> tuple[Decomposition, ...]:
     """All decomposition classes of a within the odd monoid.
 
-    These are the general classes of a, in the same order: every factor
-    of a canonical class of an odd polynomial is odd (see the module
-    docstring), and its non-leftmost factors are already monic, so no unit
-    has to be threaded and nothing is composed again.
+    These are the general classes of a, as `enumerate_classes` returns
+    them: every factor of a canonical class of an odd polynomial is odd
+    (see the module docstring), and its non-leftmost factors are already
+    monic, so no unit has to be threaded and nothing is composed again.
     """
     _check_odd_input(a, "decompose_in_O")
-    return tuple(OddDecomposition(c.factors, a) for c in enumerate_classes(a))
+    return enumerate_classes(a)
 
 
 # Cached because perfbench/run.py clears and reads this cache every pass.
@@ -101,20 +91,6 @@ class OddSwapResult:
     s: Optional[int] = None  # kinds b, c: the prime monomial degree
     t: Optional[int] = None  # kinds b, c: valuation of the structured factor
     alpha: Optional[Polynomial] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.m is not None:
-            out["m"] = self.m
-        if self.s is not None:
-            out["s"] = self.s
-        if self.t is not None:
-            out["t"] = self.t
-        if self.alpha is not None:
-            out["alpha"] = format_coeffs(self.alpha)
-        return out
 
 
 def _match_power_pattern(

@@ -115,6 +115,15 @@ def test_rejects_index_below_one():
         chebyshev(-3)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, F(3)])
+def test_rejects_non_int_index(n):
+    # with T_2 and T_3 cached, a float, bool or Fraction of equal value
+    # must not reach their cache entries
+    chebyshev(2), chebyshev(3)
+    with pytest.raises(TypeError, match="must be an int"):
+        chebyshev(n)
+
+
 def test_extract_odd_base_rejects_even():
     with pytest.raises(ValueError):
         extract_odd_base(chebyshev(4))

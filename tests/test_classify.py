@@ -22,6 +22,7 @@ from polydecomp.classify import (
     ritt_invariants,
 )
 from polydecomp.chebyshev import chebyshev
+from polydecomp.cli import _invariants_json
 from polydecomp.decompose import enumerate_classes
 from polydecomp.parsing import parse
 from polydecomp.poly import Polynomial, compose_all
@@ -222,7 +223,7 @@ class TestInvariants:
         assert inv.p_by_prime == ((2, 1),)
 
     def test_to_json(self):
-        got = ritt_invariants(parse("x^8 + 2x^6 + x^4")).to_json()
+        got = _invariants_json(ritt_invariants(parse("x^8 + 2x^6 + x^4")))
         assert got == {
             "n_P": 3,
             "n_Q": 0,
@@ -241,7 +242,8 @@ class TestInvariants:
                 parts.append(Polynomial(coeffs))
             a = compose_all(parts)
             reports = [
-                invariants_of_factors(c.factors).to_json() for c in enumerate_classes(a)
+                _invariants_json(invariants_of_factors(c.factors))
+                for c in enumerate_classes(a)
             ]
             assert all(r == reports[0] for r in reports)
 

@@ -34,7 +34,7 @@ from polydecomp.poly import (
     Unit,
     compose_all,
 )
-from polydecomp.roots import _int_series_root
+from polydecomp.roots import _int_series_root, is_probable_prime
 
 T6 = "32x^6 - 48x^4 + 18x^2 - 1"
 
@@ -462,6 +462,16 @@ class TestEnumerateClasses:
         for c in enumerate_classes(parse("x^10 + 2x^8 + x^6")):
             for f in c.factors[1:]:
                 assert f.lead == 1 and f(0) == 0
+
+    def test_search_states_need_no_recheck(self):
+        # the search neither canonicalizes nor re-checks indecomposability;
+        # every class it returns must already pass both
+        targets = [compose_all(fs) for fs in ritt_corpus(42, 40)]
+        targets += [chebyshev(n) for n in range(4, 61) if not is_probable_prime(n)]
+        for a in targets:
+            for c in enumerate_classes(a):
+                assert canonicalize(c.factors) == c.factors, a
+                assert all(is_indecomposable(f) for f in c.factors), a
 
 
 class TestRitt1:
