@@ -35,6 +35,7 @@ from .corpus import (
 from .cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
+    _class_index_positions,
     apply_cusp_move,
     compose_in_A_criterion,
     enumerate_A_decompositions,
@@ -470,7 +471,14 @@ def _suite_cusp(seed: int, trials: int) -> tuple[int, list[str]]:
                 raise ValueError("corpus element escaped A")
             sk = max_decompositions(a)
             rep = sk.report
-            ok = rep.index == sk.index and rep.length >= rep.index
+            # the index once more, straight from the classes, so the
+            # skeleton's own reduction is checked
+            index = max(
+                i
+                for cls in enumerate_classes(a)
+                for i in _class_index_positions(cls.factors)
+            )
+            ok = rep.index == index and rep.length >= rep.index
             if rep.regular and len(sk.degree_multisets) != 1:
                 ok = False
             if (

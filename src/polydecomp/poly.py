@@ -117,7 +117,8 @@ def _int_mul_packed(a: Sequence[int], b: Sequence[int], bound: int) -> list[int]
     """
     out_len = len(a) + len(b) - 1
     nbytes = bound.bit_length() // 8 + 1
-    prod = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
+    pa = _pack_signed(a, nbytes)
+    prod = pa * (pa if b is a else _pack_signed(b, nbytes))
     half = 1 << (8 * nbytes - 1)
     offset_piece = half.to_bytes(nbytes, "little")
     offset = int.from_bytes(offset_piece * out_len, "little")
@@ -151,14 +152,20 @@ def _int_mul_decimal(a: Sequence[int], b: Sequence[int], bound: int) -> list[int
     half = 5 * 10 ** (w - 1)
     half_text = "5" + "0" * (w - 1)
 
+    biases: dict[int, decimal.Decimal] = {}
+
     def bias(count: int) -> decimal.Decimal:
-        return decimal.Decimal(half_text * count)
+        if count not in biases:
+            biases[count] = decimal.Decimal(half_text * count)
+        return biases[count]
 
     def pack(cs: Sequence[int]) -> decimal.Decimal:
         text = "".join([_int_text(c + half).zfill(w) for c in reversed(cs)])
         return _EXACT.subtract(decimal.Decimal(text), bias(len(cs)))
 
-    prod = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), bias(out_len))
+    pa = pack(a)
+    pb = pa if b is a else pack(b)
+    prod = _EXACT.add(_EXACT.multiply(pa, pb), bias(out_len))
     text = str(prod).zfill(w * out_len)
     return [_text_int(text[i - w:i]) - half for i in range(w * out_len, 0, -w)]
 
@@ -178,6 +185,32 @@ def _int_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
+    return out
+
+
+def _int_compose(cs: Sequence[int], pows: list[Sequence[int]]) -> list[int]:
+    """sum cs[k] * h^k for integer sequences, with pows[0] = h, split as in
+    `Polynomial.compose`; [] when every cs[k] is 0.  Extends pows so that
+    pows[j] = h^(2^j), each by squaring the one before."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    if not n:
+        return []
+    h = pows[0]
+    if n <= 4 or ((n - 2) * (len(h) - 1) + 1) * len(h) < _PACKED_MUL_MIN_AREA:
+        acc = [cs[n - 1]]
+        for k in range(n - 2, -1, -1):
+            acc = _int_conv(acc, h)
+            acc[0] += cs[k]
+        return acc
+    j = (n - 1).bit_length() - 1
+    m = 1 << j
+    while len(pows) <= j:
+        pows.append(_int_conv(pows[-1], pows[-1]))
+    out = _int_conv(pows[j], _int_compose(cs[m:n], pows))
+    for i, c in enumerate(_int_compose(cs[:m], pows)):
+        out[i] += c
     return out
 
 
@@ -380,23 +413,40 @@ class Polynomial:
         return Fraction(acc * td, self.den * scale)  # scale is td^(n+1)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitution self(inner(x)), by Horner in the outer coefficients.
+        """Substitution self(inner(x)), by divide and conquer on the numerators.
 
-        Runs on the numerators, so each Horner step is a single integer
-        convolution; the denominator is self.den * inner.den^deg(self).
+        With n = deg(self), h = inner.num and the outer numerators scaled
+        once to c[k] = num[k] * inner.den^(n-k), the result is sum c[k] * h^k
+        over self.den * inner.den^n.  The sum is split at the power of two
+        m < n + 1 <= 2m:
+
+            c(h) = c_lo(h) + h^m * c_hi(h),  c_lo = c[:m], c_hi = c[m:],
+
+        with both halves split again and the powers h^(2^j) made by
+        squaring.  Horner's rule makes one product per coefficient, each of
+        a growing accumulator by h, as lopsided as a product gets.  The
+        split makes balanced products instead: h^m against c_hi(h), which
+        is no longer, and the squarings.  There are O(log n) levels, and the
+        fast tiers of `_int_conv` (Karatsuba on one packed int, then
+        libmpdec's number-theoretic multiply) gain most on balanced
+        operands.  Horner stays the base case where the split cannot gain.
+        With at most four terms it makes the same products.  While all of
+        its products stay below the packed tier, each multiplies by the few
+        small coefficients of h, which costs less than balanced products of
+        the halves' larger ones.
         """
         if self.is_constant:
             return self
         if inner.is_constant:
             return Polynomial.const(self(inner[0]))
-        outer, hint, dh = self.num, inner.num, inner.den
-        acc = [outer[-1]]
-        dhpow = 1
-        for k in range(len(outer) - 2, -1, -1):
-            acc = _int_conv(acc, hint)
-            dhpow *= dh
-            acc[0] += outer[k] * dhpow
-        return Polynomial.from_ints(acc, self.den * dhpow)
+        cs, dh = self.num, inner.den
+        scale = 1
+        if dh != 1:
+            cs = list(cs)
+            for k in range(len(cs) - 2, -1, -1):
+                scale *= dh
+                cs[k] *= scale
+        return Polynomial.from_ints(_int_compose(cs, [inner.num]), self.den * scale)
 
     def derivative(self) -> "Polynomial":
         num = [i * c for i, c in enumerate(self.num)]

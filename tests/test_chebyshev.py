@@ -158,3 +158,15 @@ def test_degree_cap_within_budget():
     # 2049-term operands
     assert chebyshev(2).compose(chebyshev(n // 2)) == t
     assert elapsed < 3.0
+
+
+def test_composition_at_the_cap_within_budget():
+    # T_64 o T_64 = T_4096; the split in compose makes balanced products,
+    # the largest in the decimal tier of the product kernel.  By Horner
+    # this took about 19 s on a 2-core host where it now takes about 2.6 s
+    t64 = chebyshev(64)
+    t0 = time.perf_counter()
+    t = t64.compose(t64)
+    elapsed = time.perf_counter() - t0
+    assert t == chebyshev(MAX_DEGREE)
+    assert elapsed < 6.0

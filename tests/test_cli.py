@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, and output stability."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -364,6 +365,22 @@ class TestVerifySuites:
         assert run(["verify", "--suite", "ritt1", "--trials", "0"]) == (
             0, "suite ritt1: 0/0 pass\n", ""
         )
+
+    def test_cusp_suite_catches_a_wrong_skeleton_index(self, monkeypatch):
+        # the suite recomputes the index from the classes, so a skeleton
+        # that misreports it fails every element
+        real = cli.max_decompositions
+
+        def off_by_one(a):
+            sk = real(a)
+            return dataclasses.replace(sk, index=sk.index + 1)
+
+        assert run(["verify", "--suite", "cusp", "--trials", "3"])[0] == 0
+        monkeypatch.setattr(cli, "max_decompositions", off_by_one)
+        code, out, _ = run(["verify", "--suite", "cusp", "--trials", "3", "--format", "json"])
+        assert code == 2
+        failures = json.loads(out)["results"][0]["failures"]
+        assert failures == ["element 0", "element 1", "element 2"]
 
     def test_seed_changes_corpus_not_outcome(self):
         a = run(["verify", "--suite", "ritt1", "--trials", "10", "--seed", "1"])

@@ -268,7 +268,7 @@ class TestDecimalMultiply:
 
     def test_real_size_product_takes_the_decimal_tier(self, monkeypatch):
         # a long operand with big coefficients times a shorter one, as in
-        # the Horner steps of compose, above the crossover
+        # the products of the compose split, above the crossover
         rng = random.Random(14)
         a = [rng.randrange(-(2**1000), 2**1000) for _ in range(400)]
         b = [rng.randrange(-(2**60), 2**60) for _ in range(300)]

@@ -8,6 +8,13 @@ zero coefficients and mixed denominators, so both sides of that switch
 are exercised; constant operands and the zero polynomial are included.
 sympy's `Poly.mul`, `Poly.compose` and `Poly.shift` over QQ are the oracle.
 
+`TestComposeSplit` takes `compose` past the Horner base case of its
+divide-and-conquer split: every outer degree 1 to 17 (each 2^j and 2^j + 1
+boundary), inner degree 1 (the `shift_arg` path) and 24, inner
+denominators 1 and 6, outer polynomials with a zero top or bottom half,
+and coefficients big enough for the decimal product tier.  Each result is
+checked against sympy and against pointwise evaluation.
+
 `divmod` (integer pseudo-division) is checked against sympy's `div` on
 coefficients up to 10^30 over denominators up to 10^6, non-unit leads of
 either sign and quotients up to 60 terms, where lead^k is large.
@@ -17,8 +24,10 @@ either sign and quotients up to 60 terms, where lead^k is large.
 hypothesis inputs.
 """
 
+import random
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +81,73 @@ def test_shift_arg(a, lam):
 def test_unit_apply_right(a, shift, scale):
     u = Unit(shift, scale)
     assert u.apply_right(a) == from_sympy(to_sympy(a).compose(to_sympy(u.as_poly())))
+
+
+def dense(rng, degree, bits, den=1):
+    """A degree-``degree`` polynomial with random numerators below 2^bits,
+    all over ``den``; the leading one is nonzero."""
+    cs = [rng.randrange(-(2**bits), 2**bits) for _ in range(degree)]
+    return Polynomial(F(c, den) for c in cs + [rng.randrange(1, 2**bits)])
+
+
+class TestComposeSplit:
+    POINTS = (F(0), F(1), F(-2, 3), F(7, 5))
+
+    def check(self, g, h):
+        r = g.compose(h)
+        assert r == from_sympy(to_sympy(g).compose(to_sympy(h)))
+        for t in self.POINTS:
+            assert r(t) == g(h(t))
+        return r
+
+    @pytest.mark.parametrize("inner", ["x + 3/7", "degree 24", "degree 24 over 6"])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_outer_degrees(self, n, inner):
+        rng = random.Random(100 * n + len(inner))
+        g = dense(rng, n, 40) * F(5, 3)
+        if inner == "x + 3/7":
+            h = Polynomial([F(3, 7), 1])
+            assert g.shift_arg(F(3, 7)) == self.check(g, h)
+        else:
+            self.check(g, dense(rng, 24, 40, 6 if "over" in inner else 1))
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_zero_halves(self, n):
+        rng = random.Random(n)
+        h = dense(rng, 12, 30, 6)
+        low = dense(rng, n // 2 - 1, 30)
+        top_zero = low + Polynomial.monomial(n, F(2, 9))  # x^n plus a low half
+        bottom_zero = low.inflate(1, n - n // 2 + 1)  # x^k times a low half
+        for g in (top_zero, bottom_zero, Polynomial.monomial(n), Polynomial.monomial(n) + 1):
+            self.check(g, h)
+
+    def test_split_runs_past_the_base_case(self, monkeypatch):
+        calls = []
+        split = poly._int_compose
+        monkeypatch.setattr(
+            poly, "_int_compose", lambda *args: calls.append(1) or split(*args)
+        )
+        rng = random.Random(5)
+        g = dense(rng, 16, 40)
+        self.check(g, dense(rng, 24, 40))
+        assert len(calls) > 1
+        calls.clear()
+        self.check(g, Polynomial([F(3, 7), 1]))
+        assert len(calls) == 1  # Horner: every product stays schoolbook
+
+    def test_decimal_tier_products(self, monkeypatch):
+        # coefficients of hundreds of bits make the balanced products
+        # large enough for libmpdec, with slots wider than 640 digits; CI
+        # also runs this under that int-to-str digit limit, so their text
+        # is converted in chunks
+        calls = []
+        decimal_mul = poly._int_mul_decimal
+        monkeypatch.setattr(
+            poly, "_int_mul_decimal", lambda *args: calls.append(1) or decimal_mul(*args)
+        )
+        rng = random.Random(16)
+        self.check(dense(rng, 9, 600, 3), dense(rng, 24, 300, 7))
+        assert calls
 
 
 def check_divmod(a, b):
