@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .poly import MAX_DEGREE, Polynomial, PostconditionError, Unit, compose_all
@@ -312,38 +311,46 @@ def ritt1_check(a: Polynomial) -> Ritt1Report:
     )
 
 
-def _solve_linear(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """One solution of rows * x = rhs over the rationals (free variables 0),
-    or None when inconsistent."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][ncols] != 0:
+def _outer_coefficients(
+    a: Polynomial, b: Polynomial, i: int, j: int
+) -> tuple[list, list] | None:
+    """Coefficient lists of alpha (degree i) and beta (degree j) with
+    alpha . a = beta . b, alpha's lead 1 / lead(a)^i so that the composite
+    is monic, and alpha(0) = 0; None when no such pair exists.
+
+    The system is triangular.  With N = i*deg(a) = j*deg(b) the lcm of the
+    degrees, alpha . a - beta . b is a combination of the powers a^k, which
+    lead at row k*deg(a), and b^l, which lead at row l*deg(b).  No row
+    0 < r < N leads one power of each kind, since r would then be a common
+    multiple of the degrees below their lcm.  So one pass from row N down
+    fixes beta_l at row l*deg(b) (row N included, alpha's lead being
+    pinned), fixes alpha_k at row k*deg(a), and stops at the first other
+    row left nonzero, which proves that no pair exists.  At row 0 both
+    constants lead; alpha(0) = 0 takes up that freedom.
+    """
+    pow_a = [Polynomial.const(1)]
+    for _ in range(i):
+        pow_a.append(pow_a[-1] * a)
+    pow_b = [Polynomial.const(1)]
+    for _ in range(j):
+        pow_b.append(pow_b[-1] * b)
+    alpha = [0] * (i + 1)
+    beta = [0] * (j + 1)
+    alpha[i] = 1 / a.lead**i
+    rest = pow_a[i] * alpha[i]  # alpha . a - beta . b so far
+    for row in range(i * a.degree, 0, -1):
+        k, ka = divmod(row, a.degree)
+        l, lb = divmod(row, b.degree)
+        if lb == 0:
+            beta[l] = rest[row] / pow_b[l].lead
+            rest = rest - pow_b[l] * beta[l]
+        elif ka == 0:
+            alpha[k] = -rest[row] / pow_a[k].lead
+            rest = rest + pow_a[k] * alpha[k]
+        elif rest[row]:
             return None
-    out = [Fraction(0)] * ncols
-    for r, c in pivots:
-        out[c] = aug[r][ncols]
-    return out
+    beta[0] = rest[0]
+    return alpha, beta
 
 
 def common_composite(
@@ -351,8 +358,9 @@ def common_composite(
 ) -> tuple[Polynomial, Polynomial, Polynomial] | None:
     """Least common composite: c = alpha . a = beta . b at degree lcm(da, db).
 
-    The unknown coefficients of alpha and beta enter linearly, so a single
-    rational linear solve decides existence.  When a common composite exists
+    The unknown coefficients of alpha and beta enter linearly, and the
+    system is triangular: one top-down pass over the coefficients decides
+    existence (see `_outer_coefficients`).  When a common composite exists
     at all it exists at the lcm degree, which is the only degree solved.
     Returns (c, alpha, beta) with c monic and c(0) = 0, or None.
     """
@@ -363,31 +371,10 @@ def common_composite(
         raise ValueError(
             f"least common composite degree {target} exceeds bound {degree_bound}"
         )
-    i = target // a.degree
-    j = target // b.degree
-    pow_a = [Polynomial.const(1)]
-    for _ in range(i):
-        pow_a.append(pow_a[-1] * a)
-    pow_b = [Polynomial.const(1)]
-    for _ in range(j):
-        pow_b.append(pow_b[-1] * b)
-    pin = 1 / a.lead**i  # forces c monic
-    ncols = i + (j + 1)
-    rows = []
-    rhs = []
-    for coef_idx in range(target + 1):
-        row = [Fraction(0)] * ncols
-        for k in range(i):
-            row[k] = pow_a[k][coef_idx]
-        for l in range(j + 1):
-            row[i + l] = -pow_b[l][coef_idx]
-        rows.append(row)
-        rhs.append(-pin * pow_a[i][coef_idx])
-    sol = _solve_linear(rows, rhs)
+    sol = _outer_coefficients(a, b, target // a.degree, target // b.degree)
     if sol is None:
         return None
-    alpha = Polynomial(sol[:i] + [pin])
-    beta = Polynomial(sol[i:])
+    alpha, beta = Polynomial(sol[0]), Polynomial(sol[1])
     c = alpha.compose(a)
     shift = c[0]
     if shift:

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from polydecomp import decompose
@@ -525,14 +526,14 @@ class TestCommonComposite:
             common_composite(a, b, 16255)
 
     def test_inconsistent_witness_raises_a_named_error(self, monkeypatch):
-        real = decompose._solve_linear
+        real = decompose._outer_coefficients
 
-        def corrupt(rows, rhs):
-            sol = real(rows, rhs)
-            sol[-1] += 1  # the top coefficient of beta
-            return sol
+        def corrupt(a, b, i, j):
+            alpha, beta = real(a, b, i, j)
+            beta[-1] += 1  # the top coefficient of beta
+            return alpha, beta
 
-        monkeypatch.setattr(decompose, "_solve_linear", corrupt)
+        monkeypatch.setattr(decompose, "_outer_coefficients", corrupt)
         with pytest.raises(PostconditionError, match="inconsistent witness") as info:
             common_composite(parse("x^2"), parse("x^3"))
         assert not isinstance(info.value, AssertionError)
@@ -560,3 +561,114 @@ class TestCommonComposite:
             assert alpha.compose(h) == c
             assert beta.compose(b) == c
             assert c == b.canonical_core()[1]
+
+
+class TestCommonCompositeWithinBudget:
+    """The top-down pass stops at the first row that no power leads, so a
+    dense reject costs about the powers alone.  Solving the whole system
+    by Gauss-Jordan took over 600 s on the dense 61/67 pair and about
+    13 s on T_31/T_37 on a 2-core host, where these now take about 2.5 s
+    and 1.2 s."""
+
+    def test_dense_reject_at_the_cap(self):
+        rng = random.Random(61)
+        a = Polynomial([rng.randint(1, 5) for _ in range(62)])
+        b = Polynomial([rng.randint(1, 5) for _ in range(68)])
+        t0 = time.perf_counter()
+        got = common_composite(a, b)
+        elapsed = time.perf_counter() - t0
+        assert got is None
+        assert elapsed < 10.0
+
+    def test_chebyshev_accept(self):
+        t31, t37 = chebyshev(31), chebyshev(37)
+        t0 = time.perf_counter()
+        got = common_composite(t31, t37)
+        elapsed = time.perf_counter() - t0
+        assert got is not None
+        c, alpha, beta = got
+        assert alpha.compose(t31) == c
+        assert beta.compose(t37) == c
+        assert elapsed < 6.0
+
+
+def oracle_pairs():
+    """Seeded pairs with lcm of degrees at most 30: integer, rational and
+    unit-dressed, some with a common composite and some without."""
+    rng = random.Random(17)
+    x2x = parse("x^2 + x")
+    pairs = [
+        (parse("x^2"), parse("x^3")),
+        (parse("x^2"), parse("x^2 + x")),
+        (x2x.compose(parse("x^2")), parse("x^2").compose(x2x)),
+        (parse("x^4").compose(x2x), parse("x^6").compose(x2x)),
+    ]
+    for m, n in ((2, 3), (3, 4), (2, 5), (4, 6), (5, 6)):
+        pairs.append((random_poly(rng, m), random_poly(rng, n)))
+
+    def unit():
+        scale = F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+        return Unit(F(rng.randint(-4, 4), rng.randint(1, 5)), scale)
+
+    for m, n in ((3, 5), (2, 3), (4, 6), (3, 2), (2, 7)):
+        v = unit().as_poly()
+        pairs.append((unit().apply_left(chebyshev(m).compose(v)), chebyshev(n).compose(v)))
+    for _ in range(3):
+        h = random_rational_poly(rng, 2)
+        g = random_rational_poly(rng, rng.choice((2, 3)))
+        pairs.append((h, g.compose(h)))
+    h = random_rational_poly(rng, 2)
+    pairs.append((parse("x^2").compose(h), parse("x^3").compose(h)))
+    for m, n in ((2, 3), (3, 4)):
+        pairs.append((random_rational_poly(rng, m), random_rational_poly(rng, n)))
+    return pairs
+
+
+class TestCommonCompositeAgainstSympy:
+    """The alpha/beta system set up in sympy's symbols and solved by
+    `linsolve`: alpha's lead pinned to 1/lead(a)^i so the composite is
+    monic, beta(0) = 0, then c(0) = 0 by one shift of all three."""
+
+    @staticmethod
+    def solve(a, b):
+        x = sympy.Symbol("x")
+
+        def expr(p):
+            return sum(sympy.Rational(c, p.den) * x**k for k, c in enumerate(p.num))
+
+        n = math.lcm(a.degree, b.degree)
+        i, j = n // a.degree, n // b.degree
+        al = sympy.symbols(f"al0:{i}")
+        be = sympy.symbols(f"be1:{j + 1}")
+        lead = 1 / sympy.Rational(a.num[-1], a.den) ** i
+        ea, eb = expr(a), expr(b)
+        diff = sympy.Poly(
+            sum(al[k] * ea**k for k in range(i))
+            + lead * ea**i
+            - sum(be[l - 1] * eb**l for l in range(1, j + 1)),
+            x,
+        )
+        sols = sympy.linsolve(diff.coeffs(), [*al, *be])
+        if not sols:
+            return None
+        (sol,) = sols
+        alpha = sympy.Poly([lead, *reversed(sol[:i])], x)
+        beta = sympy.Poly([*reversed(sol[i:]), 0], x)
+        c = alpha.compose(sympy.Poly(ea, x))
+        shift = c.eval(0)
+        return c - shift, alpha - shift, beta - shift
+
+    def test_agrees_on_seeded_pairs(self):
+        found = 0
+        for a, b in oracle_pairs():
+            want = self.solve(a, b)
+            got = common_composite(a, b)
+            if want is None:
+                assert got is None, (a, b)
+                continue
+            found += 1
+            assert got is not None, (a, b)
+            for p, q in zip(got, want):
+                cs = reversed(q.all_coeffs())
+                assert p == Polynomial(F(int(c.p), int(c.q)) for c in cs), (a, b)
+        assert 0 < found < len(oracle_pairs())
