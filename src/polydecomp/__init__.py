@@ -37,6 +37,7 @@ from .cusp import (
     max_decompositions,
 )
 from .decompose import (
+    CompositeTooLargeError,
     Decomposition,
     Ritt1Report,
     canonicalize,
@@ -60,6 +61,7 @@ from .poly import Polynomial, Unit, compose_all
 
 __all__ = [
     "ADecompositions",
+    "CompositeTooLargeError",
     "CuspReport",
     "Decomposition",
     "IrrationalRootRequiredError",

@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .poly import MAX_DEGREE, Polynomial, PostconditionError, Unit, compose_all
 from .roots import _int_series_root, divisors
+
+# The class search peels left factors by interpolation from this degree
+# up (see `_first_decomposition`).  With the floor at 256 the class search
+# on degrees 256-511 was 1.28 times slower.
+_PEEL_MIN_DEGREE = 768
 
 
 @dataclass(frozen=True)
@@ -81,28 +87,43 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     weighted denominator s) then accepts iff every digit is constant; the
     digits are g's coefficients.  The canonical h of a given degree is
     unique, so a None return is a proof of absence.
+
+    This is the digit path.  The class search may instead find g by
+    interpolation (`_interpolated_digits`) on the large dense inputs it
+    peels from the left; both paths give the same (g, h) or both None.
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("right_factor needs a polynomial of degree >= 2")
     n = a.degree
     if d <= 1 or d >= n or n % d:
         raise ValueError(f"degree {d} is not a proper divisor of {n}")
-    m = n // d
+    return _split(a, _ahat_numerators(a), d, _constant_digits)
 
-    # ahat = (a - a(0)) / lead is ai / da: the numerators of a with the
-    # constant cleared, made primitive with a positive lead.  Since ahat is
-    # monic, da is then exactly the lcm of ahat's denominators.
+
+def _ahat_numerators(a: Polynomial) -> list[int]:
+    """ahat = (a - a(0)) / lead as ai / da, da = ai[-1]: the numerators of a
+    with the constant cleared, made primitive with a positive lead.  Since
+    ahat is monic, da is then exactly the lcm of ahat's denominators."""
     ai = [0, *a.num[1:]]
     content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
-    ai = [c // content for c in ai]
-    da = ai[-1]
+    return [c // content for c in ai]
+
+
+def _split(
+    a: Polynomial, ai: list[int], d: int, digits
+) -> tuple[Polynomial, Polynomial] | None:
+    """`right_factor` at a proper divisor d of deg(a), given ai from
+    `_ahat_numerators`, with the normalized g found by
+    digits(ai, da, num, den, m): `_constant_digits` or
+    `_interpolated_digits`, which return the same g or both None."""
+    n = a.degree
     # The root reads the top d coefficients of ahat, reversed, and returns
     # h's reversed coefficients as numerators over one denominator.
-    root = _int_series_root(ai[n : n - d : -1], m, d)
+    root = _int_series_root(ai[n : n - d : -1], n // d, d)
     if root is None:
         return None
     num, den = root
-    g = _constant_digits(ai, da, num, den, m)
+    g = digits(ai, ai[-1], num, den, n // d)
     if g is None:
         return None
     h = Polynomial.from_ints([0, *reversed(num)], den)
@@ -207,6 +228,57 @@ def _constant_digits(
     )
 
 
+def _int_eval(cs: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
+def _interpolated_digits(
+    ai: list[int], da: int, num: list[int], den: int, m: int
+) -> Polynomial | None:
+    """The g of `_constant_digits`, found by interpolation instead and
+    accepted only by the exact composition g . h == ahat; else None.
+
+    With H = den * h and A = ai, both over Z, g . h = ahat means that
+    P(y) = da * g(y / den) takes the value A(t) at the node H(t) for every
+    integer t.  Nodes come from t = 0, 1, -1, 2, -2, ..., skipping repeats.
+    Newton's divided differences through the first m + 1 distinct nodes
+    give the only candidate P of degree at most m, and the top difference
+    over m + 2 of them is its disagreement at the last one: a nonzero one
+    proves there is no split.
+    Agreement at m + 2 points proves nothing, since a - g . h may vanish
+    at every small integer, so the composition decides.  When the first
+    4(m + 2) points give too few distinct nodes the digits decide.
+    """
+    hnum = [0, *reversed(num)]
+    nodes: dict[int, int] = {}  # H(t) -> t
+    for k in range(4 * (m + 2)):
+        t = (k + 1) // 2 if k % 2 else -(k // 2)
+        nodes.setdefault(_int_eval(hnum, t), t)
+        if len(nodes) == m + 2:
+            break
+    else:
+        return _constant_digits(ai, da, num, den, m)
+    us = list(nodes)
+    dd = [Fraction(_int_eval(ai, t)) for t in nodes.values()]
+    for k in range(1, m + 2):
+        for i in range(m + 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (us[i] - us[i - k])
+    if dd[m + 1]:
+        return None
+    # P from its Newton form, innermost factor first.
+    p = [dd[m]]
+    for k in range(m - 1, -1, -1):
+        p = [b - us[k] * c for b, c in zip([0, *p], [*p, 0])]
+        p[0] += dd[k]
+    g = Polynomial([c * den**k / da for k, c in enumerate(p)])
+    if g.compose(Polynomial.from_ints(hnum, den)) != Polynomial.from_ints(ai, da):
+        return None
+    return g
+
+
 @lru_cache(maxsize=4096)
 def is_indecomposable(a: Polynomial) -> bool:
     """True when a (degree >= 2) is not a composition of two non-units."""
@@ -228,21 +300,69 @@ def complete_decomposition(a: Polynomial) -> Decomposition:
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("decomposition is defined for degree >= 2")
+    # The factors recompose to a by construction; no need to re-expand.
+    return Decomposition(_right_peel(a), a)
+
+
+def _right_peel(work: Polynomial, absent=()) -> tuple[Polynomial, ...]:
+    """The factors of `complete_decomposition`, not trying a right degree
+    n/m for a left degree m in absent, which the caller has ruled out for
+    work.  Each new work polynomial is a left factor of the one before, and
+    a left factor of a left factor is one of work, so none of them has a
+    left factor of a degree in absent either."""
     rights: list[Polynomial] = []
-    work = a
     while True:
         n = work.degree
         found = None
         for d in _proper_divisors(n):
-            found = right_factor(work, d)
-            if found is not None:
-                break
+            if n // d not in absent:
+                found = right_factor(work, d)
+                if found is not None:
+                    break
         if found is None:
             break
         work, h = found
         rights.append(h)
-    # The factors recompose to a by construction; no need to re-expand.
-    return Decomposition(tuple([work] + rights[::-1]), a)
+    return (work, *reversed(rights))
+
+
+def _peels_left(p: Polynomial) -> bool:
+    """Is p large and dense enough to be peeled from the left?  On sparse
+    input the digit loop is cheap and interpolation nodes are huge."""
+    return p.degree >= _PEEL_MIN_DEGREE and 8 * p.num.count(0) <= p.degree
+
+
+def _first_decomposition(a: Polynomial) -> tuple[Polynomial, ...]:
+    """A canonical complete decomposition of a for the class search.
+
+    When a passes `_peels_left`, its left factor g of least degree m is
+    peeled off, trying m = 2, 3, ... among the divisors of n with
+    m^3 <= n, each by `_interpolated_digits`, and the search goes on with
+    h, which is monic with zero constant, so every factor but the first is
+    canonical.  g is indecomposable: a split g = g1 . g2 would make g1 a
+    left factor of a of a smaller degree, already ruled out.
+
+    The series root's coefficients lie in Z[1/(m da)], so it rejects a
+    non-split early only through a prime of m that does not divide da.
+    When every prime of m divides da, it may run all n/m terms over a
+    denominator near da^(n/m), so the peel stops there.  The rest is
+    `_right_peel`, told which left degrees were ruled out, so no degree is
+    tried twice on one polynomial.
+    """
+    if not _peels_left(a):
+        return _right_peel(a)
+    n = a.degree
+    ai = _ahat_numerators(a)
+    absent: list[int] = []
+    for m in _proper_divisors(n):
+        # m divides da^m exactly when every prime of m divides da.
+        if m**3 > n or pow(ai[-1], m, m) == 0:
+            break
+        split = _split(a, ai, n // m, _interpolated_digits)
+        if split is not None:
+            return (split[0], *_first_decomposition(split[1]))
+        absent.append(m)
+    return _right_peel(a, absent)
 
 
 @lru_cache(maxsize=256)
@@ -251,16 +371,22 @@ def enumerate_classes(a: Polynomial) -> tuple[Decomposition, ...]:
     as its canonical Decomposition, sorted by degree sequence and then by
     coefficients.
 
-    Breadth-first search from the greedy decomposition: each move recombines
-    an adjacent factor pair and re-splits the product at every other proper
-    divisor degree.  Every state is canonical, so coefficient equality
-    dedups classes: `right_factor` gives h monic with h(0) = 0 and a g with
-    the lead and constant of the pair product, itself monic with zero
-    constant when both factors are.  Every split is into indecomposables:
-    by Ritt's first theorem (Engstrom's form) all complete decompositions
-    of the pair product have length 2, as the pair does.
+    Breadth-first search from one complete decomposition: each move
+    recombines an adjacent factor pair and re-splits the product at every
+    other proper divisor degree.  By Ritt's first theorem any start reaches
+    every class.  `_first_decomposition` gives it: on a large dense a it
+    peels the left factor of least degree m first, found by interpolation
+    and accepted by one exact composition, and that factor is
+    indecomposable since any split of it would give a a shorter left
+    factor; the greedy right peel of `complete_decomposition` finishes.
+    The pair splits stay on the digit path.  Every state is canonical, so
+    coefficient equality dedups classes: `right_factor` gives h monic with
+    h(0) = 0 and a g with the lead and constant of the pair product, itself
+    monic with zero constant when both factors are.  Every split is into
+    indecomposables: by Ritt's first theorem (Engstrom's form) all complete
+    decompositions of the pair product have length 2, as the pair does.
     """
-    start = complete_decomposition(a).factors
+    start = _first_decomposition(a)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -309,6 +435,17 @@ def ritt1_check(a: Polynomial) -> Ritt1Report:
         degree_multiset=next(iter(sorted(multisets))),
         passed=len(lengths) == 1 and len(multisets) == 1,
     )
+
+
+class CompositeTooLargeError(ValueError):
+    """A common composite whose search would keep too many power terms."""
+
+
+# The most coefficients the powers of one `common_composite` pass may
+# hold.  Dense 61/67 (261,568 of them) takes about 2.5 s; dense (3, 1364)
+# (2.80M) reached 800 MB and dense (2, 2047) (4.19M) did not finish in
+# 600 s.
+_COMPOSITE_MAX_POWER_TERMS = 300_000
 
 
 def _outer_coefficients(
@@ -363,6 +500,11 @@ def common_composite(
     existence (see `_outer_coefficients`).  When a common composite exists
     at all it exists at the lcm degree, which is the only degree solved.
     Returns (c, alpha, beta) with c monic and c(0) = 0, or None.
+
+    The pass keeps the powers a^k for k <= N/deg(a) and b^l for
+    l <= N/deg(b), N the lcm: about (N/deg(a) + N/deg(b)) * N/2
+    coefficients.  Above `_COMPOSITE_MAX_POWER_TERMS` of them
+    `CompositeTooLargeError` is raised before any power is built.
     """
     if a.is_constant or a.degree < 2 or b.is_constant or b.degree < 2:
         raise ValueError("common_composite needs two polynomials of degree >= 2")
@@ -371,7 +513,14 @@ def common_composite(
         raise ValueError(
             f"least common composite degree {target} exceeds bound {degree_bound}"
         )
-    sol = _outer_coefficients(a, b, target // a.degree, target // b.degree)
+    i, j = target // a.degree, target // b.degree
+    terms = (i + j) * target // 2
+    if terms > _COMPOSITE_MAX_POWER_TERMS:
+        raise CompositeTooLargeError(
+            f"least common composite of degrees {a.degree} and {b.degree} needs "
+            f"powers of {terms} coefficients, above {_COMPOSITE_MAX_POWER_TERMS}"
+        )
+    sol = _outer_coefficients(a, b, i, j)
     if sol is None:
         return None
     alpha, beta = Polynomial(sol[0]), Polynomial(sol[1])

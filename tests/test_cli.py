@@ -146,6 +146,16 @@ class TestBasics:
         assert (code, out) == (2, "")
         assert "degree 16256 exceeds bound 4096" in err
 
+    def test_common_refuses_powers_too_large(self):
+        # lcm(2, 2047) = 4094 is under the cap, but the powers of the pass
+        # would hold about 4.19M coefficients
+        long = " + ".join(f"x^{k}" for k in range(2047, 0, -1)) + " + 1"
+        t0 = time.perf_counter()
+        code, out, err = run(["common", "--poly", "x^2 + x", "--poly", long])
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (2, "")
+        assert "needs powers of 4194303 coefficients" in err
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "polys.json"
         path.write_text(json.dumps(["x^2", "x^3 + x"]))

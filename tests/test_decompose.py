@@ -490,6 +490,184 @@ class TestRitt1:
             assert ritt1_check(compose_all(parts)).passed
 
 
+def large_composite(seed, shape):
+    rng = random.Random(seed)
+    return compose_all([indecomposable_factor(rng, d) for d in shape])
+
+
+def dense_poly(seed, degree, monic=False):
+    rng = random.Random(seed)
+    cs = [rng.randint(1, 5) for _ in range(degree + 1)]
+    if monic:
+        cs[-1] = 1
+    return Polynomial(cs)
+
+
+def split(a, d, digits):
+    return decompose._split(a, decompose._ahat_numerators(a), d, digits)
+
+
+def greedy_classes(a):
+    """The class search started from the greedy decomposition, as it was
+    before the left peel."""
+    mp = pytest.MonkeyPatch()
+    mp.setattr(decompose, "_first_decomposition", lambda a: complete_decomposition(a).factors)
+    try:
+        return enumerate_classes.__wrapped__(a)
+    finally:
+        mp.undo()
+
+
+class TestLeftSplit:
+    """The interpolated split of the class search's left peel against the
+    digit path it stands in for."""
+
+    @pytest.mark.parametrize(
+        "seed,shape",
+        [(3, (5, 7, 5, 5)), (4, (7, 5, 5, 7)), (5, (3, 7, 7, 7)), (6, (7, 7, 7, 3))],
+    )
+    def test_equals_the_digit_path(self, seed, shape):
+        a = large_composite(seed, shape)
+        assert a.degree >= 768 and decompose._peels_left(a)
+        n = a.degree
+        for m in decompose._proper_divisors(n):
+            if m**3 > n:
+                break
+            want = split(a, n // m, decompose._constant_digits)
+            assert split(a, n // m, decompose._interpolated_digits) == want
+            assert (want is not None) == (m == shape[0])
+
+    def test_composition_decides(self):
+        # b keeps a's top coefficients and a's value at every |t| <= 20, so
+        # only the composition can reject the split that a has
+        a = large_composite(3, (5, 7, 5, 5))
+        wall = Polynomial.const(1)
+        for t in range(-20, 21):
+            wall = wall * Polynomial((-t, 1))
+        b = a + wall * 3
+        assert all(b(t) == a(t) for t in range(-20, 21))
+        d = b.degree // 5
+        assert split(a, d, decompose._interpolated_digits) is not None
+        assert split(b, d, decompose._interpolated_digits) is None
+        assert right_factor(b, d) is None
+
+    def test_too_few_nodes_leave_it_to_the_digits(self, monkeypatch):
+        # h vanishes at every |t| <= 8, so the first 16 points give one node
+        h = Polynomial.const(1)
+        for t in range(-8, 9):
+            h = h * Polynomial((-t, 1))
+        a = parse("3x^2 + x - 1").compose(h)
+        calls = []
+        real = decompose._constant_digits
+
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(decompose, "_constant_digits", spy)
+        got = split(a, 17, decompose._interpolated_digits)
+        assert calls == [2]
+        assert got == right_factor(a, 17)
+        assert got[1] == h
+
+    def test_first_decomposition_is_complete_and_canonical(self):
+        a = large_composite(7, (7, 7, 7, 7))
+        fs = decompose._first_decomposition(a)
+        assert [f.degree for f in fs] == [7, 7, 7, 7]
+        assert compose_all(fs) == a
+        assert canonicalize(fs) == fs
+        assert all(is_indecomposable(f) for f in fs)
+
+    def peel_trials(self, monkeypatch, a):
+        """The (polynomial, right degree, digits) of every split that
+        `_first_decomposition` makes on a, peeling from degree 512."""
+        tried = []
+        real = decompose._split
+
+        def spy(p, ai, d, digits):
+            tried.append((p, d, digits.__name__))
+            return real(p, ai, d, digits)
+
+        monkeypatch.setattr(decompose, "_split", spy)
+        monkeypatch.setattr(decompose, "_PEEL_MIN_DEGREE", 512)
+        fs = decompose._first_decomposition(a)
+        peeled = list(tried)
+        assert fs == complete_decomposition(a).factors
+        return peeled
+
+    def test_no_degree_tried_twice(self, monkeypatch):
+        # no left degree m <= 8 splits dense 256 o (x^2 + x), and the
+        # greedy finish must not try those degrees again
+        a = dense_poly(256, 256, monic=True).compose(parse("x^2 + x"))
+        tried = self.peel_trials(monkeypatch, a)
+        assert [(d, dg) for p, d, dg in tried if p == a][:4] == [
+            (256, "_interpolated_digits"),
+            (128, "_interpolated_digits"),
+            (64, "_interpolated_digits"),
+            (2, "_constant_digits"),
+        ]
+        assert len({(p, d) for p, d, _ in tried}) == len(tried)
+
+    def test_stops_where_the_root_cannot_reject(self, monkeypatch):
+        # the lead 2^256 absorbs every 2-power denominator of the series
+        # root, so left degree 2 is left to the digit loop
+        a = dense_poly(256, 256, monic=True).compose(parse("2x^2 + x"))
+        tried = self.peel_trials(monkeypatch, a)
+        assert all(dg == "_constant_digits" for _, _, dg in tried)
+
+    def test_digit_path_callers_never_interpolate(self, monkeypatch):
+        a = large_composite(4, (7, 5, 5, 7))
+
+        def refuse(*args):
+            raise AssertionError("interpolated outside the left peel")
+
+        monkeypatch.setattr(decompose, "_interpolated_digits", refuse)
+        fs = complete_decomposition(a).factors
+        assert [f.degree for f in fs] == [7, 5, 5, 7]
+        assert not is_indecomposable(a)
+        assert right_factor(a, 175) is not None
+
+    def test_classes_unchanged_when_every_input_is_peeled(self, monkeypatch):
+        targets = [compose_all(fs) for fs in ritt_corpus(42, 40)]
+        targets += [chebyshev(n) for n in range(4, 121) if not is_probable_prime(n)]
+        targets += [Polynomial.monomial(n) for n in (4, 12, 36, 60, 64, 96)]
+        want = [greedy_classes(a) for a in targets]
+        monkeypatch.setattr(decompose, "_peels_left", lambda p: p.degree >= 4)
+        for a, classes in zip(targets, want):
+            assert enumerate_classes.__wrapped__(a) == classes, a
+            assert complete_decomposition(a).factors in {c.factors for c in classes}
+
+
+class TestLeftSplitWithinBudget:
+    """Sparse and structured inputs stay off the left peel, and dense ones
+    whose short left degrees all reject pay little for trying them.  Best
+    of 3 on a 2-core host, the class search without the peel and with it:
+    x^3600 + x^7 + 1 0.21 / 0.22 s, x^4096 + x^5 + 1 0.15 / 0.15 s,
+    T_2401 0.23 / 0.23 s, x^4087 + x^7 + 1 0.005 / 0.005 s, x^2520
+    0.20 / 0.19 s, dense 2048 o (x^2 + x) 1.67 / 1.65 s and monic dense
+    1024 o monic cubic 1.67 / 1.68 s."""
+
+    @pytest.mark.parametrize(
+        "make,classes,budget",
+        [
+            (lambda: parse("x^3600 + x^7 + 1"), 1, 2.0),
+            (lambda: parse("x^4096 + x^5 + 1"), 1, 2.0),
+            (lambda: chebyshev(2401), 1, 2.0),
+            (lambda: parse("x^4087 + x^7 + 1"), 1, 1.0),
+            (lambda: parse("x^2520"), 420, 2.0),
+            (lambda: dense_poly(2048, 2048).compose(parse("x^2 + x")), 1, 8.0),
+            (lambda: dense_poly(1024, 1024, True).compose(dense_poly(1, 3, monic=True)), 1, 8.0),
+        ],
+        ids=["x3600", "x4096", "T2401", "x4087", "x2520", "dense2048-o-2", "monic1024-o-3"],
+    )
+    def test_classes(self, make, classes, budget):
+        a = make()
+        t0 = time.perf_counter()
+        got = enumerate_classes.__wrapped__(a)
+        assert time.perf_counter() - t0 < budget
+        assert len(got) == classes
+
+
 class TestCommonComposite:
     def test_monomials(self):
         c, alpha, beta = common_composite(parse("x^2"), parse("x^3"))
@@ -590,6 +768,19 @@ class TestCommonCompositeWithinBudget:
         assert alpha.compose(t31) == c
         assert beta.compose(t37) == c
         assert elapsed < 6.0
+
+    @pytest.mark.parametrize("da,db", [(2, 2047), (3, 1364)])
+    def test_refuses_powers_too_large(self, da, db):
+        # the powers would hold 4.19M and 2.80M coefficients; the pass
+        # gave no result in 600 s on the first and reached 800 MB on the
+        # second
+        rng = random.Random(da)
+        a = Polynomial([rng.randint(1, 5) for _ in range(da + 1)])
+        b = Polynomial([rng.randint(1, 5) for _ in range(db + 1)])
+        t0 = time.perf_counter()
+        with pytest.raises(decompose.CompositeTooLargeError, match="coefficients"):
+            common_composite(a, b)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def oracle_pairs():
