@@ -15,14 +15,29 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .poly import MAX_DEGREE, Polynomial, PostconditionError, Unit, compose_all
-from .roots import _int_series_root, divisors
+from .roots import (
+    _FIRST_PRIME,
+    _eval_int_mod,
+    _int_series_root,
+    divisors,
+    is_probable_prime,
+)
 
 # The class search peels left factors by interpolation from this degree
-# up (see `_first_decomposition`).  With the floor at 256 the class search
-# on degrees 256-511 was 1.28 times slower.
-_PEEL_MIN_DEGREE = 768
+# up (see `_first_decomposition`).  `classes` latency_p95_ms in ms by
+# floor (`perfbench/run.py --seconds 40`, seed 1, two runs each, Python
+# 3.11.7 on 2 cores): 768 27.3 / 27.7, 512 24.6 / 24.0, 384 22.4 / 23.4,
+# 300 22.1 / 22.7; below degree 400 no single input gained.  With the
+# floor at 256 the class search on degrees 256-511 was 1.28 times slower.
+_PEEL_MIN_DEGREE = 384
+
+# `_split` tries the modular reject on right degrees from this one up.
+# Below it the test cost more than it saved: on every guarded split it
+# ran 860 times per `classes` pass at about 41 us each below degree 100.
+_MODULAR_MIN_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -83,10 +98,12 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     integer power-series root recovers term by term.  A split forces each
     reversed coefficient r_j of h to satisfy da^j r_j in Z (da the lcm of
     the normalized a's denominators), so the root rejects at the first term
-    that fails.  Expanding a in base h (repeated division, scaled by h's
-    weighted denominator s) then accepts iff every digit is constant; the
-    digits are g's coefficients.  The canonical h of a given degree is
-    unique, so a None return is a proof of absence.
+    that fails.  When every prime of m divides da that test cannot fail
+    early, so for d >= 64 and m^2 <= n a reject modulo a prime runs first
+    (`_rejects_mod_prime`).  Expanding a in base h (repeated division,
+    scaled by h's weighted denominator s) then accepts iff every digit is
+    constant; the digits are g's coefficients.  The canonical h of a
+    given degree is unique, so a None return is a proof of absence.
 
     This is the digit path.  The class search may instead find g by
     interpolation (`_interpolated_digits`) on the large dense inputs it
@@ -117,17 +134,97 @@ def _split(
     digits(ai, da, num, den, m): `_constant_digits` or
     `_interpolated_digits`, which return the same g or both None."""
     n = a.degree
+    m = n // d
+    # m divides da^m exactly when every prime of m divides da: the series
+    # root then cannot reject early (see `_rejects_mod_prime`).
+    if (
+        d >= _MODULAR_MIN_DEGREE
+        and m * m <= n
+        and pow(ai[-1], m, m) == 0
+        and _rejects_mod_prime(ai, d, m)
+    ):
+        return None
     # The root reads the top d coefficients of ahat, reversed, and returns
     # h's reversed coefficients as numerators over one denominator.
-    root = _int_series_root(ai[n : n - d : -1], n // d, d)
+    root = _int_series_root(ai[n : n - d : -1], m, d)
     if root is None:
         return None
     num, den = root
-    g = digits(ai, ai[-1], num, den, n // d)
+    g = digits(ai, ai[-1], num, den, m)
     if g is None:
         return None
     h = Polynomial.from_ints([0, *reversed(num)], den)
     return Unit(a[0], a.lead).apply_left(g), h
+
+
+def _reject_prime(mda: int) -> int:
+    """The largest prime below 2^30 that does not divide mda."""
+    p = _FIRST_PRIME
+    while mda % p == 0:
+        p -= 2
+        while not is_probable_prime(p):
+            p -= 2
+    return p
+
+
+def _distinct_nodes(value, m: int) -> dict | None:
+    """{value(t): t} over the first m + 2 of t = 0, 1, -1, 2, -2, ... with
+    distinct values, or None when the first 4(m + 2) give fewer."""
+    nodes: dict = {}
+    for k in range(4 * (m + 2)):
+        t = (k + 1) // 2 if k % 2 else -(k // 2)
+        nodes.setdefault(value(t), t)
+        if len(nodes) == m + 2:
+            return nodes
+    return None
+
+
+def _rejects_mod_prime(ai: list[int], d: int, m: int) -> bool:
+    """True when ahat = ai / da, of degree n = m*d, is proved to have no
+    split g . h with deg(h) = d, modulo a prime p below 2^30 with p not
+    dividing m*da.  False proves nothing.
+
+    A split over Q has h and the base-h digits of ahat, g's coefficients,
+    p-integral: da^j r_j is an integer for each reversed coefficient r_j
+    of h (see `_int_series_root`) and p does not divide da, and division
+    by the monic h keeps p-integral values p-integral.  So the split
+    survives reduction mod p.  There h is the series root of ahat's top d
+    coefficients, unique because p does not divide m, and ai(t) =
+    da * g(h(t)) mod p at every integer t.  Over m + 2 values of t whose
+    h(t) differ mod p, the values ai(t) thus lie on a polynomial of degree
+    at most m in h(t), so their top divided difference is 0 mod p.  A
+    nonzero one is a proof that no split exists, as the series root's own
+    reject is, not a probabilistic step.  With too few distinct nodes
+    nothing is rejected.
+    """
+    n = m * d
+    p = _reject_prime(m * ai[-1])
+    # The root's recurrence (see `_int_series_root`) over one-digit
+    # residues: m j r_j da = sum over k < j of (j - (m+1) k) f[j-k] r_k.
+    f = [c % p for c in ai[n : n - d : -1]]
+    inv_mda = pow(m * f[0], -1, p)
+    r = [1]
+    kr = [0]
+    for j in range(1, d):
+        fr = f[j:0:-1]
+        t = j * sum(map(mul, fr, r)) - (m + 1) * sum(map(mul, fr, kr))
+        c = t % p * inv_mda % p * pow(j, -1, p) % p
+        r.append(c)
+        kr.append(j * c % p)
+    hbar = [0, *reversed(r)]
+    nodes = _distinct_nodes(lambda t: _eval_int_mod(hbar, t, p), m)
+    if nodes is None:
+        return False
+    # The top divided difference, sum of ai(t_i) / prod_{k != i} (u_i - u_k).
+    abar = [c % p for c in ai]
+    top = 0
+    for u, t in nodes.items():
+        w = 1
+        for v in nodes:
+            if v != u:
+                w = w * (u - v) % p
+        top += _eval_int_mod(abar, t, p) * pow(w, -1, p)
+    return top % p != 0
 
 
 def _coprime_base(nums) -> list[int]:
@@ -253,13 +350,8 @@ def _interpolated_digits(
     4(m + 2) points give too few distinct nodes the digits decide.
     """
     hnum = [0, *reversed(num)]
-    nodes: dict[int, int] = {}  # H(t) -> t
-    for k in range(4 * (m + 2)):
-        t = (k + 1) // 2 if k % 2 else -(k // 2)
-        nodes.setdefault(_int_eval(hnum, t), t)
-        if len(nodes) == m + 2:
-            break
-    else:
+    nodes = _distinct_nodes(lambda t: _int_eval(hnum, t), m)  # H(t) -> t
+    if nodes is None:
         return _constant_digits(ai, da, num, den, m)
     us = list(nodes)
     dd = [Fraction(_int_eval(ai, t)) for t in nodes.values()]
@@ -340,12 +432,8 @@ def _first_decomposition(a: Polynomial) -> tuple[Polynomial, ...]:
     m^3 <= n, each by `_interpolated_digits`, and the search goes on with
     h, which is monic with zero constant, so every factor but the first is
     canonical.  g is indecomposable: a split g = g1 . g2 would make g1 a
-    left factor of a of a smaller degree, already ruled out.
-
-    The series root's coefficients lie in Z[1/(m da)], so it rejects a
-    non-split early only through a prime of m that does not divide da.
-    When every prime of m divides da, it may run all n/m terms over a
-    denominator near da^(n/m), so the peel stops there.  The rest is
+    left factor of a of a smaller degree, already ruled out, whether by
+    the exact path or modulo a prime in `_split`.  The rest is
     `_right_peel`, told which left degrees were ruled out, so no degree is
     tried twice on one polynomial.
     """
@@ -355,8 +443,7 @@ def _first_decomposition(a: Polynomial) -> tuple[Polynomial, ...]:
     ai = _ahat_numerators(a)
     absent: list[int] = []
     for m in _proper_divisors(n):
-        # m divides da^m exactly when every prime of m divides da.
-        if m**3 > n or pow(ai[-1], m, m) == 0:
+        if m**3 > n:
             break
         split = _split(a, ai, n // m, _interpolated_digits)
         if split is not None:

@@ -150,13 +150,22 @@ def _int_mul_decimal(a: Sequence[int], b: Sequence[int], bound: int) -> list[int
     out_len = len(a) + len(b) - 1
     w = len(_int_text(2 * bound))  # 10^w > 2 * bound, so every slot fits
     half = 5 * 10 ** (w - 1)
-    half_text = "5" + "0" * (w - 1)
+    one = decimal.Decimal(half)
 
     biases: dict[int, decimal.Decimal] = {}
 
     def bias(count: int) -> decimal.Decimal:
+        """half in each of count slots, built from the top bit of count by
+        exact doubling (b . b) and appending (b . half), never parsed."""
         if count not in biases:
-            biases[count] = decimal.Decimal(half_text * count)
+            b, k = one, 1
+            for bit in bin(count)[3:]:
+                b = _EXACT.add(_EXACT.scaleb(b, w * k), b)
+                k *= 2
+                if bit == "1":
+                    b = _EXACT.add(_EXACT.scaleb(b, w), one)
+                    k += 1
+            biases[count] = b
         return biases[count]
 
     def pack(cs: Sequence[int]) -> decimal.Decimal:

@@ -35,7 +35,7 @@ from polydecomp.poly import (
     Unit,
     compose_all,
 )
-from polydecomp.roots import _int_series_root, is_probable_prime
+from polydecomp.roots import _FIRST_PRIME, _int_series_root, is_probable_prime
 
 T6 = "32x^6 - 48x^4 + 18x^2 - 1"
 
@@ -503,6 +503,12 @@ def dense_poly(seed, degree, monic=False):
     return Polynomial(cs)
 
 
+def guarded_cubic_composite():
+    """Monic dense 512 o (2x^3 + 5x^2 + 5x + 2): the lead 2^512 absorbs
+    every 2-power denominator of the series root at left degree 2."""
+    return dense_poly(512, 512, True).compose(parse("2x^3 + 5x^2 + 5x + 2"))
+
+
 def split(a, d, digits):
     return decompose._split(a, decompose._ahat_numerators(a), d, digits)
 
@@ -608,12 +614,30 @@ class TestLeftSplit:
         ]
         assert len({(p, d) for p, d, _ in tried}) == len(tried)
 
-    def test_stops_where_the_root_cannot_reject(self, monkeypatch):
+    def test_rejects_modulo_a_prime_where_the_root_cannot(self, monkeypatch):
         # the lead 2^256 absorbs every 2-power denominator of the series
-        # root, so left degree 2 is left to the digit loop
+        # root, so left degree 2 is rejected modulo a prime instead, and the
+        # exact root never runs its 256 terms
         a = dense_poly(256, 256, monic=True).compose(parse("2x^2 + x"))
-        tried = self.peel_trials(monkeypatch, a)
-        assert all(dg == "_constant_digits" for _, _, dg in tried)
+        want = complete_decomposition(a).factors
+        rejects, root_terms = [], []
+        real_reject = decompose._rejects_mod_prime
+        real_root = decompose._int_series_root
+
+        def spy_reject(ai, d, m):
+            rejects.append((m, real_reject(ai, d, m)))
+            return rejects[-1][1]
+
+        def spy_root(f, m, terms):
+            root_terms.append(terms)
+            return real_root(f, m, terms)
+
+        monkeypatch.setattr(decompose, "_rejects_mod_prime", spy_reject)
+        monkeypatch.setattr(decompose, "_int_series_root", spy_root)
+        assert decompose._peels_left(a)
+        assert decompose._first_decomposition(a) == want
+        assert rejects[0] == (2, True)
+        assert 256 not in root_terms
 
     def test_digit_path_callers_never_interpolate(self, monkeypatch):
         a = large_composite(4, (7, 5, 5, 7))
@@ -645,7 +669,9 @@ class TestLeftSplitWithinBudget:
     x^3600 + x^7 + 1 0.21 / 0.22 s, x^4096 + x^5 + 1 0.15 / 0.15 s,
     T_2401 0.23 / 0.23 s, x^4087 + x^7 + 1 0.005 / 0.005 s, x^2520
     0.20 / 0.19 s, dense 2048 o (x^2 + x) 1.67 / 1.65 s and monic dense
-    1024 o monic cubic 1.67 / 1.68 s."""
+    1024 o monic cubic 1.67 / 1.68 s.  Monic dense 512 o (2x^3 + 5x^2 +
+    5x + 2), whose lead 2^512 leaves the series root no early reject, took
+    4.8-5.5 s without the reject modulo a prime and 0.7-0.9 s with it."""
 
     @pytest.mark.parametrize(
         "make,classes,budget",
@@ -657,8 +683,12 @@ class TestLeftSplitWithinBudget:
             (lambda: parse("x^2520"), 420, 2.0),
             (lambda: dense_poly(2048, 2048).compose(parse("x^2 + x")), 1, 8.0),
             (lambda: dense_poly(1024, 1024, True).compose(dense_poly(1, 3, monic=True)), 1, 8.0),
+            (guarded_cubic_composite, 1, 3.0),
         ],
-        ids=["x3600", "x4096", "T2401", "x4087", "x2520", "dense2048-o-2", "monic1024-o-3"],
+        ids=[
+            "x3600", "x4096", "T2401", "x4087", "x2520", "dense2048-o-2", "monic1024-o-3",
+            "monic512-o-2x3",
+        ],
     )
     def test_classes(self, make, classes, budget):
         a = make()
@@ -666,6 +696,76 @@ class TestLeftSplitWithinBudget:
         got = enumerate_classes.__wrapped__(a)
         assert time.perf_counter() - t0 < budget
         assert len(got) == classes
+
+    def test_guarded_right_factor(self):
+        # 3.2 s without the reject modulo a prime, 0.04 s with it
+        a = guarded_cubic_composite()
+        t0 = time.perf_counter()
+        assert right_factor(a, 768) is None
+        assert time.perf_counter() - t0 < 1.0
+
+
+class TestModularReject:
+    """The reject modulo a prime that `_split` runs where every prime of
+    m divides da, so that the series root cannot reject early."""
+
+    @staticmethod
+    def guarded(a, d):
+        """a's numerators ai, checking that the split at d is guarded."""
+        ai = decompose._ahat_numerators(a)
+        m = a.degree // d
+        assert pow(ai[-1], m, m) == 0
+        return ai
+
+    @staticmethod
+    def with_lead(rng, degree, lead):
+        return Polynomial([rng.randint(-5, 5) for _ in range(degree)] + [lead])
+
+    def test_never_rejects_a_planted_split(self):
+        rng = random.Random(41)
+        for lead, ms in ((2, (2, 4, 8)), (6, (2, 4, 6, 8, 12)), (12, (2, 4, 6, 8, 12))):
+            for m in ms:
+                d = rng.choice((64, 72, 96))
+                g = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)] + [1])
+                a = g.compose(self.with_lead(rng, d, lead))
+                assert not decompose._rejects_mod_prime(self.guarded(a, d), d, m)
+
+    def test_rejects_only_where_the_digits_reject(self, monkeypatch):
+        real = decompose._rejects_mod_prime
+        monkeypatch.setattr(decompose, "_rejects_mod_prime", lambda ai, d, m: False)
+        rng = random.Random(43)
+        cases = [
+            (dense_poly(61, 64).compose(parse("2x^2 + x")), 64),
+            (dense_poly(62, 48).compose(parse("6x^4 + x^3 - x")), 96),
+            (self.with_lead(rng, 192, 6), 96),
+            (self.with_lead(rng, 192, 6), 64),
+            (self.with_lead(rng, 256, 4), 64),
+        ]
+        for lead, m in ((2, 2), (6, 3), (4, 4)):
+            g = Polynomial([rng.randint(-9, 9) for _ in range(m)] + [1])
+            cases.append((g.compose(self.with_lead(rng, 64, lead)), 64))
+        outcomes = set()
+        for a, d in cases:
+            rejected = real(self.guarded(a, d), d, a.degree // d)
+            digits = split(a, d, decompose._constant_digits)
+            assert not (rejected and digits is not None), (a.degree, d)
+            outcomes.add((rejected, digits is None))
+        assert outcomes == {(True, True), (False, False)}
+
+    def test_skips_a_prime_dividing_the_lead(self):
+        p0 = decompose._reject_prime(1)
+        p1 = decompose._reject_prime(2 * p0)
+        assert p0 == _FIRST_PRIME
+        assert is_probable_prime(p1)
+        assert not any(is_probable_prime(q) for q in range(p1 + 2, p0, 2))
+        assert decompose._reject_prime(2 * p0 * p1) < p1
+        # mod p0 the lead of either input has no inverse
+        a = parse("x^2 + 3x").compose(self.with_lead(random.Random(47), 64, 2 * p0))
+        ai = self.guarded(a, 64)
+        assert ai[-1] % p0 == 0
+        assert not decompose._rejects_mod_prime(ai, 64, 2)
+        b = a + Polynomial.monomial(70)
+        assert decompose._rejects_mod_prime(self.guarded(b, 64), 64, 2)
 
 
 class TestCommonComposite:

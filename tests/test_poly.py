@@ -266,6 +266,17 @@ class TestDecimalMultiply:
         for a, b in TestPackedMultiply.SIGN_CASES:
             assert _int_mul_decimal(a, b, _conv_bound(a, b)) == self.schoolbook(a, b)
 
+    def test_every_bias_length(self):
+        # the biases are built by doubling from the top bit of the slot
+        # count, so every count from 1 to 64 is a different bit pattern
+        rng = random.Random(12)
+        for la in range(1, 33):
+            for lb in (1, la, 33 - la):
+                a = [rng.randrange(-(10**40), 10**40) for _ in range(la)]
+                b = [rng.randrange(-(10**9), 10**9) for _ in range(lb)]
+                bound = _conv_bound(a, b)
+                assert _int_mul_decimal(a, b, bound) == _int_mul_packed(a, b, bound)
+
     def test_real_size_product_takes_the_decimal_tier(self, monkeypatch):
         # a long operand with big coefficients times a shorter one, as in
         # the products of the compose split, above the crossover
