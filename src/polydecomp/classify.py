@@ -186,21 +186,16 @@ def _try_power_outside(p: Polynomial, cv: Polynomial) -> Optional[ShapeClass]:
 
 def _qualifying_multiplicities(n: int) -> set[int]:
     """Critical-value multiplicities that a power-outside shape of degree n
-    could produce.  A shape with parameters (l, s) and inner degree
-    delta = (n - s) / l contributes multiplicity at least n - 1 - delta,
-    so anything from n - 1 - max(delta) up to n - 1 qualifies."""
-    delta_max = 0
-    for l in range(2, n):
-        if not is_probable_prime(l):
-            continue
-        delta = 1
-        while True:
-            s = n - l * delta
-            if s < 1:
-                break
-            if s % l:
-                delta_max = max(delta_max, delta)
-            delta += 1
+    could produce.  A shape with parameters (l, s), l a prime below n and
+    l not dividing s, has inner degree delta = (n - s) / l and contributes
+    multiplicity at least n - 1 - delta, so anything from n - 1 - max(delta)
+    up to n - 1 qualifies.  Since s = n - l*delta = n (mod l), l must not
+    divide n, and then delta runs up to (n - 1) // l; the least such l
+    gives the maximum."""
+    l = 2
+    while l < n and (n % l == 0 or not is_probable_prime(l)):
+        l += 1
+    delta_max = (n - 1) // l if l < n else 0
     return set(range(n - 1 - delta_max, n))
 
 

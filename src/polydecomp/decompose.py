@@ -26,15 +26,16 @@ from .roots import (
     is_probable_prime,
 )
 
-# The class search peels left factors by interpolation from this degree
-# up (see `_first_decomposition`).  `classes` latency_p95_ms in ms by
-# floor (`perfbench/run.py --seconds 40`, seed 1, two runs each, Python
-# 3.11.7 on 2 cores): 768 27.3 / 27.7, 512 24.6 / 24.0, 384 22.4 / 23.4,
-# 300 22.1 / 22.7; below degree 400 no single input gained.  With the
-# floor at 256 the class search on degrees 256-511 was 1.28 times slower.
+# `right_factor` interpolates, and the class search peels left factors,
+# on dense inputs from this degree up (see `_peels_left`).  `classes`
+# latency_p95_ms in ms by floor (`perfbench/run.py --seconds 40`, seed 1,
+# two runs each, Python 3.11.7 on 2 cores): 768 27.3 / 27.7, 512 24.6 /
+# 24.0, 384 22.4 / 23.4, 300 22.1 / 22.7; below degree 400 no single
+# input gained.  With the floor at 256 the class search on degrees
+# 256-511 was 1.28 times slower.
 _PEEL_MIN_DEGREE = 384
 
-# `_split` tries the modular reject on right degrees from this one up.
+# `right_factor` tries the modular reject on right degrees from this one up.
 # Below it the test cost more than it saved: on every guarded split it
 # ran 860 times per `classes` pass at about 41 us each below degree 100.
 _MODULAR_MIN_DEGREE = 64
@@ -100,41 +101,21 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     the normalized a's denominators), so the root rejects at the first term
     that fails.  When every prime of m divides da that test cannot fail
     early, so for d >= 64 and m^2 <= n a reject modulo a prime runs first
-    (`_rejects_mod_prime`).  Expanding a in base h (repeated division,
-    scaled by h's weighted denominator s) then accepts iff every digit is
-    constant; the digits are g's coefficients.  The canonical h of a
-    given degree is unique, so a None return is a proof of absence.
+    (`_rejects_mod_prime`).
 
-    This is the digit path.  The class search may instead find g by
-    interpolation (`_interpolated_digits`) on the large dense inputs it
-    peels from the left; both paths give the same (g, h) or both None.
+    g comes from one of two engines, chosen by cost: by interpolation
+    (`_interpolated_digits`) when m^3 <= n and a `_peels_left`, else as
+    the base-h digits of a (`_constant_digits`).  The canonical h of a
+    given degree is unique, so both give the same (g, h) or both None, and
+    a None return is a proof of absence.
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("right_factor needs a polynomial of degree >= 2")
     n = a.degree
     if d <= 1 or d >= n or n % d:
         raise ValueError(f"degree {d} is not a proper divisor of {n}")
-    return _split(a, _ahat_numerators(a), d, _constant_digits)
-
-
-def _ahat_numerators(a: Polynomial) -> list[int]:
-    """ahat = (a - a(0)) / lead as ai / da, da = ai[-1]: the numerators of a
-    with the constant cleared, made primitive with a positive lead.  Since
-    ahat is monic, da is then exactly the lcm of ahat's denominators."""
-    ai = [0, *a.num[1:]]
-    content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
-    return [c // content for c in ai]
-
-
-def _split(
-    a: Polynomial, ai: list[int], d: int, digits
-) -> tuple[Polynomial, Polynomial] | None:
-    """`right_factor` at a proper divisor d of deg(a), given ai from
-    `_ahat_numerators`, with the normalized g found by
-    digits(ai, da, num, den, m): `_constant_digits` or
-    `_interpolated_digits`, which return the same g or both None."""
-    n = a.degree
     m = n // d
+    ai = _ahat_numerators(a)
     # m divides da^m exactly when every prime of m divides da: the series
     # root then cannot reject early (see `_rejects_mod_prime`).
     if (
@@ -150,11 +131,21 @@ def _split(
     if root is None:
         return None
     num, den = root
+    digits = _interpolated_digits if m**3 <= n and _peels_left(a) else _constant_digits
     g = digits(ai, ai[-1], num, den, m)
     if g is None:
         return None
     h = Polynomial.from_ints([0, *reversed(num)], den)
     return Unit(a[0], a.lead).apply_left(g), h
+
+
+def _ahat_numerators(a: Polynomial) -> list[int]:
+    """ahat = (a - a(0)) / lead as ai / da, da = ai[-1]: the numerators of a
+    with the constant cleared, made primitive with a positive lead.  Since
+    ahat is monic, da is then exactly the lcm of ahat's denominators."""
+    ai = [0, *a.num[1:]]
+    content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
+    return [c // content for c in ai]
 
 
 def _reject_prime(mda: int) -> int:
@@ -392,30 +383,18 @@ def complete_decomposition(a: Polynomial) -> Decomposition:
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("decomposition is defined for degree >= 2")
-    # The factors recompose to a by construction; no need to re-expand.
-    return Decomposition(_right_peel(a), a)
-
-
-def _right_peel(work: Polynomial, absent=()) -> tuple[Polynomial, ...]:
-    """The factors of `complete_decomposition`, not trying a right degree
-    n/m for a left degree m in absent, which the caller has ruled out for
-    work.  Each new work polynomial is a left factor of the one before, and
-    a left factor of a left factor is one of work, so none of them has a
-    left factor of a degree in absent either."""
-    rights: list[Polynomial] = []
+    work, rights = a, []
     while True:
-        n = work.degree
-        found = None
-        for d in _proper_divisors(n):
-            if n // d not in absent:
-                found = right_factor(work, d)
-                if found is not None:
-                    break
-        if found is None:
+        for d in _proper_divisors(work.degree):
+            found = right_factor(work, d)
+            if found is not None:
+                work, h = found
+                rights.append(h)
+                break
+        else:
             break
-        work, h = found
-        rights.append(h)
-    return (work, *reversed(rights))
+    # The factors recompose to a by construction; no need to re-expand.
+    return Decomposition((work, *reversed(rights)), a)
 
 
 def _peels_left(p: Polynomial) -> bool:
@@ -428,51 +407,43 @@ def _first_decomposition(a: Polynomial) -> tuple[Polynomial, ...]:
     """A canonical complete decomposition of a for the class search.
 
     When a passes `_peels_left`, its left factor g of least degree m is
-    peeled off, trying m = 2, 3, ... among the divisors of n with
-    m^3 <= n, each by `_interpolated_digits`, and the search goes on with
-    h, which is monic with zero constant, so every factor but the first is
-    canonical.  g is indecomposable: a split g = g1 . g2 would make g1 a
-    left factor of a of a smaller degree, already ruled out, whether by
-    the exact path or modulo a prime in `_split`.  The rest is
-    `_right_peel`, told which left degrees were ruled out, so no degree is
-    tried twice on one polynomial.
+    peeled off first, trying m = 2, 3, ... among the divisors of n with
+    m^3 <= n, and the search goes on with h, which is monic with zero
+    constant, so every factor but the first is canonical.  g is
+    indecomposable: a split g = g1 . g2 would make g1 a left factor of a
+    of a smaller degree, already ruled out.  Otherwise, or when no such m
+    splits, `complete_decomposition` gives it.
     """
-    if not _peels_left(a):
-        return _right_peel(a)
     n = a.degree
-    ai = _ahat_numerators(a)
-    absent: list[int] = []
-    for m in _proper_divisors(n):
-        if m**3 > n:
-            break
-        split = _split(a, ai, n // m, _interpolated_digits)
-        if split is not None:
-            return (split[0], *_first_decomposition(split[1]))
-        absent.append(m)
-    return _right_peel(a, absent)
+    if _peels_left(a):
+        for m in _proper_divisors(n):
+            if m**3 > n:
+                break
+            split = right_factor(a, n // m)
+            if split is not None:
+                return (split[0], *_first_decomposition(split[1]))
+    return complete_decomposition(a).factors
 
 
 @lru_cache(maxsize=256)
 def enumerate_classes(a: Polynomial) -> tuple[Decomposition, ...]:
     """All unit-equivalence classes of complete decompositions of a, each
     as its canonical Decomposition, sorted by degree sequence and then by
-    coefficients.
+    coefficients.  Raises ValueError below degree 2.
 
     Breadth-first search from one complete decomposition: each move
     recombines an adjacent factor pair and re-splits the product at every
     other proper divisor degree.  By Ritt's first theorem any start reaches
-    every class.  `_first_decomposition` gives it: on a large dense a it
-    peels the left factor of least degree m first, found by interpolation
-    and accepted by one exact composition, and that factor is
-    indecomposable since any split of it would give a a shorter left
-    factor; the greedy right peel of `complete_decomposition` finishes.
-    The pair splits stay on the digit path.  Every state is canonical, so
+    every class; `_first_decomposition` gives it, peeling short left
+    factors first off a large dense a.  Every state is canonical, so
     coefficient equality dedups classes: `right_factor` gives h monic with
     h(0) = 0 and a g with the lead and constant of the pair product, itself
     monic with zero constant when both factors are.  Every split is into
     indecomposables: by Ritt's first theorem (Engstrom's form) all complete
     decompositions of the pair product have length 2, as the pair does.
     """
+    if a.is_constant or a.degree < 2:
+        raise ValueError("decomposition is defined for degree >= 2")
     start = _first_decomposition(a)
     seen = {start}
     frontier = [start]

@@ -250,3 +250,22 @@ class TestInvariants:
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
             ritt_invariants(parse("x"))
+
+
+def test_qualifying_multiplicities_match_the_search():
+    # the double loop over primes l < n and inner degrees delta that the
+    # closed form replaced, kept as its oracle
+    def oracle(n):
+        delta_max = 0
+        for l in range(2, n):
+            if not sympy.isprime(l):
+                continue
+            delta = 1
+            while n - l * delta >= 1:
+                if (n - l * delta) % l:
+                    delta_max = max(delta_max, delta)
+                delta += 1
+        return set(range(n - 1 - delta_max, n))
+
+    for n in range(2, 600):
+        assert classify._qualifying_multiplicities(n) == oracle(n), n

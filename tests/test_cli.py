@@ -313,6 +313,12 @@ class TestExitCodes:
         assert run(["parse", "--poly", "x^2/4"])[0] == 2
         assert run(["cusp", "report", "--poly", "x^2 + x"])[0] == 2
 
+    @pytest.mark.parametrize("poly", ["x + 1", "5", "0"])
+    def test_classes_below_degree_two_is_2(self, poly):
+        code, out, err = run(["classes", "--poly", poly])
+        assert (code, out) == (2, "")
+        assert "degree >= 2" in err
+
     def test_pattern_mismatch_is_2(self):
         code, _, err = run(
             ["cusp", "move", "--poly", "x^2 + x", "--poly", "x^3 + x^2",

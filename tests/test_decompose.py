@@ -474,8 +474,18 @@ class TestEnumerateClasses:
                 assert canonicalize(c.factors) == c.factors, a
                 assert all(is_indecomposable(f) for f in c.factors), a
 
+    @pytest.mark.parametrize("text", ["x + 1", "5", "0"])
+    def test_rejects_degree_below_two(self, text):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            enumerate_classes(parse(text))
+
 
 class TestRitt1:
+    @pytest.mark.parametrize("text", ["x + 1", "5", "0"])
+    def test_rejects_degree_below_two(self, text):
+        with pytest.raises(ValueError, match="degree >= 2"):
+            ritt1_check(parse(text))
+
     def test_report_shape(self):
         r = ritt1_check(parse("x^6"))
         assert r.class_count == 2
@@ -510,7 +520,18 @@ def guarded_cubic_composite():
 
 
 def split(a, d, digits):
-    return decompose._split(a, decompose._ahat_numerators(a), d, digits)
+    """`right_factor` at d with the series root and then the given digit
+    engine, without the reject modulo a prime."""
+    n, m = a.degree, a.degree // d
+    ai = decompose._ahat_numerators(a)
+    root = _int_series_root(ai[n : n - d : -1], m, d)
+    if root is None:
+        return None
+    num, den = root
+    g = digits(ai, ai[-1], num, den, m)
+    if g is None:
+        return None
+    return Unit(a[0], a.lead).apply_left(g), Polynomial.from_ints([0, *reversed(num)], den)
 
 
 def greedy_classes(a):
@@ -585,16 +606,16 @@ class TestLeftSplit:
         assert all(is_indecomposable(f) for f in fs)
 
     def peel_trials(self, monkeypatch, a):
-        """The (polynomial, right degree, digits) of every split that
+        """The (polynomial, right degree) of every `right_factor` call that
         `_first_decomposition` makes on a, peeling from degree 512."""
         tried = []
-        real = decompose._split
+        real = decompose.right_factor
 
-        def spy(p, ai, d, digits):
-            tried.append((p, d, digits.__name__))
-            return real(p, ai, d, digits)
+        def spy(p, d):
+            tried.append((p, d))
+            return real(p, d)
 
-        monkeypatch.setattr(decompose, "_split", spy)
+        monkeypatch.setattr(decompose, "right_factor", spy)
         monkeypatch.setattr(decompose, "_PEEL_MIN_DEGREE", 512)
         fs = decompose._first_decomposition(a)
         peeled = list(tried)
@@ -603,16 +624,11 @@ class TestLeftSplit:
 
     def test_no_degree_tried_twice(self, monkeypatch):
         # no left degree m <= 8 splits dense 256 o (x^2 + x), and the
-        # greedy finish must not try those degrees again
+        # greedy finish reaches those degrees only after one that splits
         a = dense_poly(256, 256, monic=True).compose(parse("x^2 + x"))
         tried = self.peel_trials(monkeypatch, a)
-        assert [(d, dg) for p, d, dg in tried if p == a][:4] == [
-            (256, "_interpolated_digits"),
-            (128, "_interpolated_digits"),
-            (64, "_interpolated_digits"),
-            (2, "_constant_digits"),
-        ]
-        assert len({(p, d) for p, d, _ in tried}) == len(tried)
+        assert [d for p, d in tried if p == a] == [256, 128, 64, 2]
+        assert len(set(tried)) == len(tried)
 
     def test_rejects_modulo_a_prime_where_the_root_cannot(self, monkeypatch):
         # the lead 2^256 absorbs every 2-power denominator of the series
@@ -639,17 +655,40 @@ class TestLeftSplit:
         assert rejects[0] == (2, True)
         assert 256 not in root_terms
 
-    def test_digit_path_callers_never_interpolate(self, monkeypatch):
-        a = large_composite(4, (7, 5, 5, 7))
+    def test_engine_is_chosen_by_the_input(self, monkeypatch):
+        # b = g o h and a = b o (x^2 + x), dense of degrees 384 and 768:
+        # every caller interpolates exactly where m^3 <= n
+        b = parse("2x^3 + x^2 - x").compose(dense_poly(128, 128, monic=True))
+        a = b.compose(parse("x^2 + x"))
+        assert decompose._peels_left(a) and decompose._peels_left(b)
+        ran = []
+        for name in ("_constant_digits", "_interpolated_digits"):
 
-        def refuse(*args):
-            raise AssertionError("interpolated outside the left peel")
+            def spy(ai, da, num, den, m, real=getattr(decompose, name), name=name):
+                ran.append((len(ai) - 1, m, name))
+                return real(ai, da, num, den, m)
 
-        monkeypatch.setattr(decompose, "_interpolated_digits", refuse)
-        fs = complete_decomposition(a).factors
-        assert [f.degree for f in fs] == [7, 5, 5, 7]
-        assert not is_indecomposable(a)
-        assert right_factor(a, 175) is not None
+            monkeypatch.setattr(decompose, name, spy)
+        callers = {
+            "right_factor": lambda: [
+                right_factor(p, d) for p in (a, b) for d in decompose._proper_divisors(p.degree)
+            ],
+            "is_indecomposable": lambda: is_indecomposable.__wrapped__(b),
+            "complete_decomposition": lambda: complete_decomposition(a),
+        }
+        for caller, run in callers.items():
+            ran.clear()
+            run()
+            assert "_interpolated_digits" in {e for _, _, e in ran}, caller
+            for n, m, engine in ran:
+                assert (engine == "_interpolated_digits") == (m**3 <= n), (caller, n, m)
+        assert [f.degree for f in complete_decomposition(a).factors] == [3, 128, 2]
+        for p in (a, b):
+            n = p.degree
+            for m in decompose._proper_divisors(n):
+                if m**3 <= n:
+                    want = split(p, n // m, decompose._constant_digits)
+                    assert right_factor(p, n // m) == want, (n, m)
 
     def test_classes_unchanged_when_every_input_is_peeled(self, monkeypatch):
         targets = [compose_all(fs) for fs in ritt_corpus(42, 40)]
@@ -706,8 +745,8 @@ class TestLeftSplitWithinBudget:
 
 
 class TestModularReject:
-    """The reject modulo a prime that `_split` runs where every prime of
-    m divides da, so that the series root cannot reject early."""
+    """The reject modulo a prime that `right_factor` runs where every
+    prime of m divides da, so that the series root cannot reject early."""
 
     @staticmethod
     def guarded(a, d):
