@@ -104,10 +104,10 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     (`_rejects_mod_prime`).
 
     g comes from one of two engines, chosen by cost: by interpolation
-    (`_interpolated_digits`) when m^3 <= n and a `_peels_left`, else as
-    the base-h digits of a (`_constant_digits`).  The canonical h of a
-    given degree is unique, so both give the same (g, h) or both None, and
-    a None return is a proof of absence.
+    (`_interpolated_digits`) when m^3 <= n and a passes `_peels_left`,
+    else as the base-h digits of a (`_constant_digits`).  The canonical h
+    of a given degree is unique, so both give the same (g, h) or both
+    None, and a None return is a proof of absence.
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("right_factor needs a polynomial of degree >= 2")
