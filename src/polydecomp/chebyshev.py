@@ -60,9 +60,8 @@ def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
     t = chebyshev(k)
     if odd[k - 2] == 0:
         return False
+    # Nonzero: odd[k] is lead(p) and T_k's x^(k-2) coefficient is -k*2^(k-3).
     m = (odd[k] * t[k - 2]) / (odd[k - 2] * t[k])
-    if m == 0:
-        return False
     nu = odd[k] / (t[k] * m ** ((k - 1) // 2))
     model = Polynomial(
         [

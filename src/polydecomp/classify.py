@@ -54,40 +54,34 @@ class ShapeClass:
         return self.outer_unit.apply_left(mid)
 
 
-def _try_power(p: Polynomial) -> Optional[ShapeClass]:
-    n = p.degree
-    if not is_probable_prime(n):
-        return None
-    lam = p.forced_center()
-    if p.shift_arg(lam) - p(lam) != Polynomial.monomial(n, p.lead):
-        return None
-    return ShapeClass(
-        tag="P",
-        source=p,
-        prime=n,
-        center=lam,
-        outer_unit=Unit(shift=p(lam), scale=p.lead),
-        inner_unit=Unit(shift=-lam, scale=Fraction(1)),
-    )
-
-
-def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
-    """Detect p = u . [x^s g(x^l)] . (x - lam).
+def _try_centered(p: Polynomial) -> Optional[ShapeClass]:
+    """Detect p = u . x^l . (x - lam) (tag P, l = deg p prime) or
+    p = u . [x^s g(x^l)] . (x - lam) (tag Q, power inside).
 
     Centering is forced: the recentred polynomial must have support inside
     one residue class mod l that contains n but not n - 1, so its x^(n-1)
-    coefficient vanishes and lam is the same pinned center as in the pure
-    power test.  Everything after that is support inspection, hence the
+    coefficient vanishes and lam is pinned; a pure power is the one-term
+    support.  Everything after that is support inspection, hence the
     detection is complete over the rationals.
     """
     lam = p.forced_center()
-    q = p.shift_arg(lam) - p(lam)
+    base = p(lam)
+    q = p.shift_arg(lam) - base
     support = q.support()
     s = support[0]
-    diffs = [e - s for e in support[1:]]
-    if not diffs:
-        return None
-    spread = math.gcd(*diffs)
+    inner = Unit(shift=-lam, scale=Fraction(1))
+    if len(support) == 1:
+        if not is_probable_prime(s):
+            return None
+        return ShapeClass(
+            tag="P",
+            source=p,
+            prime=s,
+            center=lam,
+            outer_unit=Unit(shift=base, scale=p.lead),
+            inner_unit=inner,
+        )
+    spread = math.gcd(*[e - s for e in support[1:]])
     if spread < 2:
         return None
     l = next(f for f in range(2, spread + 1) if spread % f == 0)
@@ -101,8 +95,8 @@ def _try_power_inside(p: Polynomial) -> Optional[ShapeClass]:
         s=s,
         center=lam,
         witness_g=g,
-        outer_unit=Unit(shift=p(lam), scale=Fraction(1)),
-        inner_unit=Unit(shift=-lam, scale=Fraction(1)),
+        outer_unit=Unit(shift=base, scale=Fraction(1)),
+        inner_unit=inner,
     )
 
 
@@ -215,9 +209,9 @@ def _has_irrational_real_candidate(cv: Polynomial) -> bool:
 def classify_shape(p: Polynomial) -> ShapeClass:
     """Tag an indecomposable polynomial P, Q, R or Undetermined.
 
-    Pure powers are tried first with their pinned center, then the
-    power-inside pattern (also pinned, hence complete), then power-outside
-    over rational centering data.  If all three fail, the result is R when
+    Pure powers and the power-inside pattern are tried first at their one
+    pinned center (hence completely), then power-outside over rational
+    centering data.  If all three fail, the result is R when
     every remaining candidate center is certified non-real or rational (and
     already refuted), and Undetermined when an irrational real candidate
     survives.
@@ -226,10 +220,7 @@ def classify_shape(p: Polynomial) -> ShapeClass:
         raise ValueError("classification needs degree >= 2")
     if not is_indecomposable(p):
         raise ValueError("classification is defined for indecomposable polynomials")
-    shape = _try_power(p)
-    if shape is not None:
-        return shape
-    shape = _try_power_inside(p)
+    shape = _try_centered(p)
     if shape is not None:
         return shape
     cv = critical_value_polynomial(p)

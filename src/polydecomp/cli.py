@@ -450,9 +450,7 @@ def _suite_odd(seed: int, trials: int) -> tuple[int, list[str]]:
         ok = is_odd(c)
         if ok and c.degree >= 2:
             classes = decompose_in_O(c)
-            lengths = {len(cl.factors) for cl in classes}
-            multis = {tuple(sorted(f.degree for f in cl.factors)) for cl in classes}
-            ok = len(lengths) == 1 and len(multis) == 1 and all(
+            ok = ritt1_check(c).passed and all(
                 is_odd(f) for cl in classes for f in cl.factors
             )
         if not ok:

@@ -208,10 +208,8 @@ def enumerate_A_decompositions(a: Polynomial) -> ADecompositions:
 
     def thread(blocks, j, lam_prev, acc):
         if j == len(blocks) - 1:
-            block = blocks[j]
-            if not in_A(block):
-                return
-            dressed = block - lam_prev
+            # A block outside A classifies "not-in-A" and is dropped.
+            dressed = blocks[j] - lam_prev
             if _is_A_irreducible(dressed):
                 member = scale_canonicalize(acc + [dressed])
                 found[_member_key(member)] = member
@@ -390,7 +388,7 @@ def _first_critical_point(f: Polynomial, s: int, role: str) -> Fraction:
     """
     if s >= 2:
         return Fraction(0)
-    roots = rational_roots(f.derivative())
+    roots = admissible_shifts(f)
     if not roots:
         raise IrrationalRootRequiredError(
             f"the rewritten {role} factor has no rational critical point"

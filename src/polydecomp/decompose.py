@@ -17,13 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .poly import MAX_DEGREE, Polynomial, PostconditionError, Unit, compose_all
+from .poly import MAX_DEGREE, Polynomial, PostconditionError, compose_all
 from .roots import (
     _FIRST_PRIME,
     _eval_int_mod,
     _int_series_root,
+    _next_prime,
+    _primitive,
     divisors,
-    is_probable_prime,
 )
 
 # `right_factor` interpolates, and the class search peels left factors,
@@ -135,26 +136,21 @@ def right_factor(a: Polynomial, d: int) -> tuple[Polynomial, Polynomial] | None:
     g = digits(ai, ai[-1], num, den, m)
     if g is None:
         return None
-    h = Polynomial.from_ints([0, *reversed(num)], den)
-    return Unit(a[0], a.lead).apply_left(g), h
+    return g * a.lead + a[0], Polynomial.from_ints([0, *reversed(num)], den)
 
 
 def _ahat_numerators(a: Polynomial) -> list[int]:
     """ahat = (a - a(0)) / lead as ai / da, da = ai[-1]: the numerators of a
     with the constant cleared, made primitive with a positive lead.  Since
     ahat is monic, da is then exactly the lcm of ahat's denominators."""
-    ai = [0, *a.num[1:]]
-    content = math.gcd(*ai) if ai[-1] > 0 else -math.gcd(*ai)
-    return [c // content for c in ai]
+    return _primitive([0, *a.num[1:]])
 
 
 def _reject_prime(mda: int) -> int:
     """The largest prime below 2^30 that does not divide mda."""
     p = _FIRST_PRIME
     while mda % p == 0:
-        p -= 2
-        while not is_probable_prime(p):
-            p -= 2
+        p = _next_prime(p, -2)
     return p
 
 
@@ -362,16 +358,21 @@ def _interpolated_digits(
     return g
 
 
+def _least_split(a: Polynomial) -> tuple[Polynomial, Polynomial] | None:
+    """`right_factor` at the least proper divisor degree that splits a."""
+    for d in _proper_divisors(a.degree):
+        split = right_factor(a, d)
+        if split is not None:
+            return split
+    return None
+
+
 @lru_cache(maxsize=4096)
 def is_indecomposable(a: Polynomial) -> bool:
     """True when a (degree >= 2) is not a composition of two non-units."""
     if a.is_constant or a.degree < 2:
         raise ValueError("indecomposability is defined for degree >= 2")
-    n = a.degree
-    for d in _proper_divisors(n):
-        if right_factor(a, d) is not None:
-            return False
-    return True
+    return _least_split(a) is None
 
 
 def complete_decomposition(a: Polynomial) -> Decomposition:
@@ -384,15 +385,9 @@ def complete_decomposition(a: Polynomial) -> Decomposition:
     if a.is_constant or a.degree < 2:
         raise ValueError("decomposition is defined for degree >= 2")
     work, rights = a, []
-    while True:
-        for d in _proper_divisors(work.degree):
-            found = right_factor(work, d)
-            if found is not None:
-                work, h = found
-                rights.append(h)
-                break
-        else:
-            break
+    while (split := _least_split(work)) is not None:
+        work, h = split
+        rights.append(h)
     # The factors recompose to a by construction; no need to re-expand.
     return Decomposition((work, *reversed(rights)), a)
 

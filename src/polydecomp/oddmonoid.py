@@ -18,7 +18,12 @@ from math import gcd
 from typing import Optional
 
 from .chebyshev import _dressed_odd_chebyshev_degree
-from .decompose import Decomposition, enumerate_classes, is_indecomposable
+from .decompose import (
+    Decomposition,
+    enumerate_classes,
+    is_indecomposable,
+    scale_canonicalize,
+)
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
 from .poly import Polynomial
 from .roots import is_probable_prime, poly_kth_root
@@ -112,20 +117,10 @@ def _match_power_pattern(
         return None
     body = Polynomial.from_ints(p.num[t:], p.den)
     a_poly = poly_kth_root(body * (1 / body.lead), s)
-    alpha = None if a_poly is None else a_poly.to_inner_power(2)
-    if alpha is None or alpha[0] == 0:
+    inner = None if a_poly is None else a_poly.deflate(2)
+    if inner is None or inner[0] != 0:
         return None
-    return s, t, alpha
-
-
-def _unit_equivalent_pair(
-    p: Polynomial, q: Polynomial, p2: Polynomial, q2: Polynomial
-) -> bool:
-    """Whether (p2, q2) = (p . (mu x), (x / mu) . q) for some mu != 0."""
-    if (p.degree, q.degree) != (p2.degree, q2.degree):
-        return False
-    ratio = q.lead / q2.lead
-    return ratio * q2 == q and p.scale_arg(ratio) == p2
+    return s, t, inner[1]
 
 
 def classify_odd_swap(
@@ -148,7 +143,9 @@ def classify_odd_swap(
             raise ValueError("classify_odd_swap expects O-irreducible factors")
     if p.compose(q) != p_star.compose(q_star):
         raise ValueError("the two pairs do not share a composite")
-    if _unit_equivalent_pair(p, q, p_star, q_star):
+    # The pairs are unit-equivalent, (p_star, q_star) = (p . (mu x),
+    # (x / mu) . q), exactly when their scale-normal forms agree.
+    if scale_canonicalize((p, q)) == scale_canonicalize((p_star, q_star)):
         raise ValueError("the pairs are unit-equivalent; no swap to classify")
     if gcd(p.degree, q.degree) != 1:
         raise ValueError("no pattern: factor degrees are not coprime")

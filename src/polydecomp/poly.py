@@ -502,14 +502,6 @@ class Polynomial:
                 return i
         raise ValueError("the zero polynomial has no x-valuation")
 
-    def to_inner_power(self, k: int) -> "Polynomial | None":
-        """If self = q(x^k), return q; otherwise None."""
-        if k < 1:
-            raise ValueError("inner power must be positive")
-        if any(c and i % k for i, c in enumerate(self.num)):
-            return None
-        return Polynomial.from_ints(self.num[::k], self.den)
-
     def inflate(self, k: int, s: int) -> "Polynomial":
         """x^s * self(x^k): coefficient j goes to exponent s + k*j, the
         inverse of slicing ``num[s::k]``."""

@@ -60,9 +60,20 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _primitive_integer_form(p: Polynomial) -> list[int]:
-    content = math.gcd(*p.num)
-    return [c // content for c in p.num]
+def _next_prime(q: int, step: int) -> int:
+    """The first probable prime q + k*step, k >= 1; step is 2 or -2."""
+    q += step
+    while not is_probable_prime(q):
+        q += step
+    return q
+
+
+def _primitive(nums: Sequence[int]) -> list[int]:
+    """nums over their content, signed so that the last entry is positive."""
+    content = math.gcd(*nums)
+    if nums[-1] < 0:
+        content = -content
+    return [c // content for c in nums]
 
 
 def _pm_trim(a: list[int]) -> list[int]:
@@ -173,8 +184,6 @@ def _rat_reconstruct(t: int, m: int, num_bound: int, den_bound: int):
         qq = r0 // r1
         r0, r1 = r1, r0 - qq * r1
         s0, s1 = s1, s0 - qq * s1
-    if s1 == 0:
-        return None
     if s1 < 0:
         s1, r1 = -s1, -r1
     if s1 > den_bound:
@@ -217,20 +226,18 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
         p = Polynomial.from_ints(p.num[v:], p.den)
     if p.is_constant:
         return tuple(sorted(found))
-    sints = _primitive_integer_form(p)
+    sints = _primitive(p.num)
     q = _FIRST_PRIME
     fbar = _squarefree_image(sints, q)
     if fbar is None:
         g = poly_gcd(p, p.derivative())
         if not g.is_constant:
-            sints = _primitive_integer_form(p // g)
+            sints = _primitive((p // g).num)
             fbar = _squarefree_image(sints, q)
         # This walk ends: a prime is bad for the squarefree part only when
         # it divides the lead or the discriminant, and both are nonzero.
         while fbar is None:
-            q += 2
-            while not is_probable_prime(q):
-                q += 2
+            q = _next_prime(q, 2)
             fbar = _squarefree_image(sints, q)
     n = len(sints) - 1
     if n == 1:
@@ -420,9 +427,7 @@ def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
     lead_root = rational_kth_root(p.lead, k)
     if lead_root is None:
         return None
-    ints = _primitive_integer_form(p)
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+    ints = _primitive(p.num)
     root = _int_series_root(ints[::-1], k, n // k + 1)
     if root is None:
         return None

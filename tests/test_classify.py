@@ -200,6 +200,28 @@ def test_classify_computes_critical_values_at_most_once(monkeypatch, src, tag, c
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize(
+    "src,tag",
+    [
+        ("x^5", "P"),
+        ("x^5 + x^3", "Q"),
+        ("x^5 + 5x^4 + 11x^3 + 13x^2 + 8x + 2", "Q"),  # x^5 + x^3 at x + 1
+    ],
+)
+def test_classify_recenters_once(monkeypatch, src, tag):
+    p = parse(src)
+    calls = []
+    shift_arg = Polynomial.shift_arg
+
+    def counted(self, lam):
+        calls.append(lam)
+        return shift_arg(self, lam)
+
+    monkeypatch.setattr(Polynomial, "shift_arg", counted)
+    assert classify_shape(p).tag == tag
+    assert len(calls) == 1
+
+
 class TestIrrationalCandidates:
     def test_present(self):
         cv = critical_value_polynomial(parse("3x^5 - 20x^3 + 60x"))

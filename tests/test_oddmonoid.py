@@ -235,6 +235,14 @@ class TestSwapFamilies:
         r = classify_odd_swap(*classes[0].factors, *classes[1].factors)
         assert (r.kind, r.s, r.t, r.alpha) == ("c", 3, 1, parse("x - 1/2"))
 
+    @pytest.mark.parametrize("mu", [F(-1), F(2), F(-1, 3), F(5, 7)], ids=str)
+    def test_rejects_unit_equivalent_pairs(self, mu):
+        # (p . (mu x), (x / mu) . q) is the pair (p, q) moved by a unit;
+        # x^3 . x^5 against x^5 . x^3 still classifies (test_monomial_swap)
+        p, q = parse("x^3 - 2x"), parse("x^5 + 1/2 x^3 + 3x")
+        with pytest.raises(ValueError, match="the pairs are unit-equivalent; no swap to classify"):
+            classify_odd_swap(p, q, p.scale_arg(mu), q * (1 / mu))
+
     def test_chebyshev_family(self):
         r = classify_odd_swap(chebyshev(3), chebyshev(5), chebyshev(5), chebyshev(3))
         assert r.kind == "a"

@@ -356,10 +356,10 @@ class TestStructure:
         assert not p("x^5 + x^2").is_odd_function
         assert ZERO.is_odd_function
 
-    def test_to_inner_power(self):
-        assert p("x^4 + x^2").to_inner_power(2) == p("x^2 + x")
-        assert p("x^6 - 2x^3 + 5").to_inner_power(3) == p("x^2 - 2x + 5")
-        assert p("x^3 + x^2").to_inner_power(2) is None
+    def test_deflate(self):
+        assert p("x^4 + x^2").deflate(2) == (2, p("x + 1"))
+        assert p("x^6 - 2x^3 + 5").deflate(3) == (0, p("x^2 - 2x + 5"))
+        assert p("x^3 + x^2").deflate(2) is None
 
     @given(a=polys, k=st.integers(min_value=1, max_value=6), s=st.integers(min_value=0, max_value=6))
     @settings(max_examples=60)

@@ -99,6 +99,20 @@ class TestRationalRoots:
         q = poly_with_roots([2, -5, F(1, 3)], cofactor=parse("x^2 + 1"))
         assert set(rational_roots(q)) == {F(2), F(-5), F(1, 3)}
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            poly_with_roots([F(-7, 3)], lead=-2),
+            poly_with_roots([2, -5, F(1, 3)], cofactor=parse("x^2 + 1"), lead=-1),
+            poly_with_roots([F(3, 4), F(3, 4), -1], cofactor=parse("x^2 - 2"), lead=-6),
+            parse("x^2") * poly_with_roots([F(-9, 5), 4], lead=F(-2, 7)),
+        ],
+        ids=str,
+    )
+    def test_negated_input_has_the_same_roots(self, q):
+        assert q.lead < 0
+        assert rational_roots(-q) == rational_roots(q)
+
     def test_no_rational_roots(self):
         assert rational_roots(parse("x^2 + 1")) == ()
         assert rational_roots(parse("x^2 - 2")) == ()
@@ -326,6 +340,14 @@ class TestKthRoots:
         assert poly_kth_root(parse("-x^3"), 3) == parse("-x")
         assert poly_kth_root(parse("x^2 + 1"), 2) is None
         assert poly_kth_root(parse("x^6"), 3) == parse("x^2")
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "q", ["x + 1", "-2x^2 + 1/3", "3/2x^3 - x + 5", "x^2 + 1"]
+    )
+    def test_poly_odd_root_of_negation(self, q, k):
+        target = parse(q) ** k
+        assert poly_kth_root(-target, k) == -poly_kth_root(target, k)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
     def test_poly_near_powers(self, k):
