@@ -197,28 +197,52 @@ def _int_conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_compose(cs: Sequence[int], pows: list[Sequence[int]]) -> list[int]:
-    """sum cs[k] * h^k for integer sequences, with pows[0] = h, split as in
-    `Polynomial.compose`; [] when every cs[k] is 0.  Extends pows so that
-    pows[j] = h^(2^j), each by squaring the one before."""
+def _int_power(pows: dict[int, Sequence[int]], e: int) -> Sequence[int]:
+    """h^e for the table pows, whose entry 1 is h.  A missing power is made
+    once and kept: by squaring h^(e/2) where e is even, else as
+    h^(e//2) * h^(e//2 + 1)."""
+    if e not in pows:
+        low = _int_power(pows, e // 2)
+        pows[e] = _int_conv(low, low if e % 2 == 0 else _int_power(pows, e - e // 2))
+    return pows[e]
+
+
+def _int_block(cs: Sequence[int], pows: dict[int, Sequence[int]]) -> list[int]:
+    """sum cs[j] * h^j as a scalar combination of the kept powers of h: a
+    plain integer loop, with no product of two polynomials."""
+    out = [cs[0]] + [0] * ((len(cs) - 1) * (len(pows[1]) - 1))
+    for j in range(1, len(cs)):
+        c = cs[j]
+        if c:
+            for i, v in enumerate(_int_power(pows, j)):
+                out[i] += c * v
+    return out
+
+
+def _int_compose(cs: Sequence[int], pows: dict[int, Sequence[int]]) -> list[int]:
+    """sum cs[i] * h^i for integer sequences, with pows[1] = h, split as in
+    `Polynomial.compose`; [] when every cs[i] is 0.  Every power of h it
+    needs goes into pows, which all the leaves of the split share."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
     if not n:
         return []
-    h = pows[0]
-    if n <= 4 or ((n - 2) * (len(h) - 1) + 1) * len(h) < _PACKED_MUL_MIN_AREA:
+    h = pows[1]
+    if n <= 2 or ((n - 2) * (len(h) - 1) + 1) * len(h) < _PACKED_MUL_MIN_AREA:
         acc = [cs[n - 1]]
         for k in range(n - 2, -1, -1):
             acc = _int_conv(acc, h)
             acc[0] += cs[k]
         return acc
-    j = (n - 1).bit_length() - 1
-    m = 1 << j
-    while len(pows) <= j:
-        pows.append(_int_conv(pows[-1], pows[-1]))
-    out = _int_conv(pows[j], _int_compose(cs[m:n], pows))
-    for i, c in enumerate(_int_compose(cs[:m], pows)):
+    if n <= 8:
+        m = (n + 1) // 2
+        lo, hi = _int_block(cs[:m], pows), _int_block(cs[m:n], pows)
+    else:
+        m = 1 << ((n - 1).bit_length() - 1)
+        lo, hi = _int_compose(cs[:m], pows), _int_compose(cs[m:n], pows)
+    out = _int_conv(_int_power(pows, m), hi)
+    for i, c in enumerate(lo):
         out[i] += c
     return out
 
@@ -422,27 +446,30 @@ class Polynomial:
         return Fraction(acc * td, self.den * scale)  # scale is td^(n+1)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Substitution self(inner(x)), by divide and conquer on the numerators.
+        """Substitution self(inner(x)), by baby and giant steps on the numerators.
 
         With n = deg(self), h = inner.num and the outer numerators scaled
         once to c[k] = num[k] * inner.den^(n-k), the result is sum c[k] * h^k
-        over self.den * inner.den^n.  The sum is split at the power of two
-        m < n + 1 <= 2m:
+        over self.den * inner.den^n.  Up to eight terms the sum is cut into
+        two blocks at m = ceil((n + 1) / 2), as in Paterson and Stockmeyer's
+        scheme (SIAM J. Comput. 2, 1973):
 
-            c(h) = c_lo(h) + h^m * c_hi(h),  c_lo = c[:m], c_hi = c[m:],
+            c(h) = c_lo(h) + h^m * c_hi(h),  c_lo = c[:m], c_hi = c[m:].
 
-        with both halves split again and the powers h^(2^j) made by
-        squaring.  Horner's rule makes one product per coefficient, each of
-        a growing accumulator by h, as lopsided as a product gets.  The
-        split makes balanced products instead: h^m against c_hi(h), which
-        is no longer, and the squarings.  There are O(log n) levels, and the
-        fast tiers of `_int_conv` (Karatsuba on one packed int, then
+        Each block is a scalar combination of the baby steps h, ..., h^(m-1),
+        a plain integer loop, and h^m is the giant step.  That is m big
+        products, h^2 .. h^m and h^m * c_hi(h), where Horner's rule makes
+        n - 1: 4 against 6 for eight terms, 3 against 4 for six.  A longer
+        sum is split the same way at the power of two m < n + 1 <= 2m, with
+        both halves split again down to blocks of at most four terms.  Its
+        products are balanced, h^m against c_hi(h), which is no longer, and
+        the fast tiers of `_int_conv` (Karatsuba on one packed int, then
         libmpdec's number-theoretic multiply) gain most on balanced
-        operands.  Horner stays the base case where the split cannot gain.
-        With at most four terms it makes the same products.  While all of
-        its products stay below the packed tier, each multiplies by the few
-        small coefficients of h, which costs less than balanced products of
-        the halves' larger ones.
+        operands.  Every power of h is made once, by squaring where its
+        exponent is even, and kept for all the leaves, so h^2, h^3 and h^4
+        serve every block.  Horner's rule stays where all of its products
+        stay below the packed tier: each then multiplies by the few small
+        coefficients of h, which costs less than the blocks' larger ones.
         """
         if self.is_constant:
             return self
@@ -455,7 +482,7 @@ class Polynomial:
             for k in range(len(cs) - 2, -1, -1):
                 scale *= dh
                 cs[k] *= scale
-        return Polynomial.from_ints(_int_compose(cs, [inner.num]), self.den * scale)
+        return Polynomial.from_ints(_int_compose(cs, {1: inner.num}), self.den * scale)
 
     def derivative(self) -> "Polynomial":
         num = [i * c for i, c in enumerate(self.num)]
@@ -591,10 +618,14 @@ def compose_all(factors: Sequence[Polynomial]) -> Polynomial:
     """Compose a nonempty factor sequence left to right as written.
 
     Folds from the right: composition is associative and the right fold
-    keeps the outer operand of every step small.
+    keeps the outer operand of every step small.  A composite above the
+    degree cap `MAX_DEGREE` is refused before any power is built.
     """
     if not factors:
         raise ValueError("cannot compose an empty factor sequence")
+    degree = math.prod(f.degree if f else 0 for f in factors)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"composite degree {degree} exceeds the degree cap {MAX_DEGREE}")
     acc = factors[-1]
     for f in reversed(factors[:-1]):
         acc = f.compose(acc)

@@ -338,6 +338,14 @@ class TestExitCodes:
     def test_success_is_0(self):
         assert run(["cheb", "2"])[0] == 0
 
+    def test_composite_above_the_cap_is_2(self):
+        # 2048 * 2048 > MAX_DEGREE: refused before any power is built
+        t0 = time.perf_counter()
+        code, out, err = run(["compose", "--poly", "x^2048 + x", "--poly", "x^2048 + x"])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert "composite degree 4194304 exceeds the degree cap 4096" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydecomp.poly import ONE, X, ZERO, Polynomial, Unit, compose_all
+from polydecomp.poly import MAX_DEGREE, ONE, X, ZERO, Polynomial, Unit, compose_all
 from polydecomp import poly
 from polydecomp.poly import _conv_bound, _int_conv, _int_mul_decimal, _int_mul_packed
 from polydecomp.parsing import parse
@@ -208,6 +208,21 @@ class TestCompose:
         fs = (p("x^2 + 1"), p("x^3 - x"), p("2x + 5"))
         assert compose_all(fs) == fs[0].compose(fs[1]).compose(fs[2])
         assert compose_all((p("x^7"),)) == p("x^7")
+
+    def test_compose_all_refuses_a_composite_above_the_cap(self, monkeypatch):
+        # 2048 * 2048 > MAX_DEGREE, refused before any composition starts
+        monkeypatch.setattr(Polynomial, "compose", lambda *args: pytest.fail("composed"))
+        big = p("x^2048 + x")
+        with pytest.raises(ValueError, match=f"composite degree 4194304 exceeds the degree cap {MAX_DEGREE}"):
+            compose_all((big, big))
+        with pytest.raises(ValueError, match=f"composite degree {2 * MAX_DEGREE} exceeds"):
+            compose_all((p("x^2"), p("x^64"), p("x^64 + 1")))
+
+    def test_compose_all_up_to_the_cap(self):
+        assert compose_all((p("x^64"), p("x^64 + x"))).degree == MAX_DEGREE
+        # a constant factor makes the composite constant, whatever the degrees
+        assert compose_all((p("x^4096"), p("2"), p("x^4096"))) == p(str(2**4096))
+        assert compose_all((p("x^4096 + 1"), ZERO, p("x^4096"))) == ONE
 
 
 big_ints = st.integers(min_value=-(10**40), max_value=10**40)

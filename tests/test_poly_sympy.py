@@ -8,12 +8,15 @@ zero coefficients and mixed denominators, so both sides of that switch
 are exercised; constant operands and the zero polynomial are included.
 sympy's `Poly.mul`, `Poly.compose` and `Poly.shift` over QQ are the oracle.
 
-`TestComposeSplit` takes `compose` past the Horner base case of its
-divide-and-conquer split: every outer degree 1 to 17 (each 2^j and 2^j + 1
-boundary), inner degree 1 (the `shift_arg` path) and 24, inner
-denominators 1 and 6, outer polynomials with a zero top or bottom half,
-and coefficients big enough for the decimal product tier.  Each result is
-checked against sympy and against pointwise evaluation.
+`TestComposeSplit` takes `compose` past Horner's rule into its baby and
+giant steps and its divide-and-conquer split: every outer degree 1 to 17
+(each 2^j and 2^j + 1 boundary) and 32, inner degree 1 (the `shift_arg`
+path) and 24, inner denominators 1 and 6, outer polynomials with a zero
+top or bottom half, zero blocks, zero coefficients inside a block and a
+one-term top block, and coefficients big enough for the decimal product
+tier, also in the giant step.  Each result is checked against sympy and
+against pointwise evaluation.  The big products are counted, and no power
+of the inner is made twice.
 
 `divmod` (integer pseudo-division) is checked against sympy's `div` on
 coefficients up to 10^30 over denominators up to 10^6, non-unit leads of
@@ -101,7 +104,7 @@ class TestComposeSplit:
         return r
 
     @pytest.mark.parametrize("inner", ["x + 3/7", "degree 24", "degree 24 over 6"])
-    @pytest.mark.parametrize("n", range(1, 18))
+    @pytest.mark.parametrize("n", [*range(1, 18), 32])
     def test_outer_degrees(self, n, inner):
         rng = random.Random(100 * n + len(inner))
         g = dense(rng, n, 40) * F(5, 3)
@@ -148,6 +151,89 @@ class TestComposeSplit:
         rng = random.Random(16)
         self.check(dense(rng, 9, 600, 3), dense(rng, 24, 300, 7))
         assert calls
+
+    def spy_big_products(self, monkeypatch):
+        """Record (len(a), len(b), slot digits) of every packed or libmpdec
+        product; slot digits is None for a packed one."""
+        calls = []
+        packed, decimal_mul = poly._int_mul_packed, poly._int_mul_decimal
+
+        def spy_packed(a, b, bound):
+            calls.append((len(a), len(b), None))
+            return packed(a, b, bound)
+
+        def spy_decimal(a, b, bound):
+            calls.append((len(a), len(b), len(poly._int_text(2 * bound))))
+            return decimal_mul(a, b, bound)
+
+        monkeypatch.setattr(poly, "_int_mul_packed", spy_packed)
+        monkeypatch.setattr(poly, "_int_mul_decimal", spy_decimal)
+        return calls
+
+    @pytest.mark.parametrize("terms, products", [(8, 4), (6, 3)])
+    def test_big_product_count(self, monkeypatch, terms, products):
+        # two blocks of k = terms / 2 coefficients: the powers h^2 .. h^k,
+        # then one giant step h^k times the top block (Horner's rule makes
+        # terms - 2 big products here, and the split it served made 7 and 5)
+        rng = random.Random(terms)
+        h = Polynomial([rng.randrange(-3, 4) for _ in range(343)] + [1])
+        g = dense(rng, terms - 1, 40)
+        calls = self.spy_big_products(monkeypatch)
+        r = g.compose(h)
+        assert len(calls) == products
+        for t in self.POINTS:
+            assert r(t) == g(h(t))
+
+    def test_powers_are_made_once(self, monkeypatch):
+        # a 65-term outer splits at 64, 32, 16 and 8; its eight leaves share
+        # h^2, h^3 and h^4, and the splits add h^8 .. h^64
+        made = []
+        power = poly._int_power
+
+        def spy(pows, e):
+            if e not in pows:
+                made.append(e)
+            return power(pows, e)
+
+        monkeypatch.setattr(poly, "_int_power", spy)
+        rng = random.Random(65)
+        g, h = dense(rng, 64, 20), dense(rng, 24, 20, 5)
+        r = g.compose(h)
+        assert sorted(made) == [2, 3, 4, 8, 16, 32, 64]
+        for t in self.POINTS:  # sympy takes seconds at degree 1536
+            assert r(t) == g(h(t))
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            (4, 5, 6, 7),  # the low block of a leaf is zero
+            (0, 1, 2, 4, 5, 7),  # a zero last coefficient in the low block
+            (0, 1, 2, 3, 4, 6, 7),  # and a zero inside the high one
+            (0, 1, 2),  # a one-term high block
+            (0, 2, 4, 6, 8),  # every other power of h unused
+            (*range(8, 16), 16),  # a zero low leaf under the split at 16
+            (0, 16),  # zero leaves on both sides of the split
+        ],
+    )
+    def test_block_edges(self, support):
+        rng = random.Random(len(support))
+        g = Polynomial.from_ints(
+            [rng.randrange(1, 2**30) if i in support else 0 for i in range(max(support) + 1)],
+            7,
+        )
+        self.check(g, dense(rng, 24, 30, 6))
+
+    def test_giant_step_in_the_decimal_tier(self, monkeypatch):
+        # outer coefficients of 2000 bits make the one giant step, h^4 times
+        # the top block, a libmpdec product with slots wider than 640
+        # digits, while the powers of h stay narrower; CI also runs this
+        # under that int-to-str digit limit
+        rng = random.Random(22)
+        g, h = dense(rng, 7, 2000, 3), dense(rng, 39, 100, 7)
+        calls = self.spy_big_products(monkeypatch)
+        self.check(g, h)
+        wide = [(la, lb) for la, lb, w in calls if w and w > 640]
+        assert wide and all(4 * h.degree + 1 in (la, lb) for la, lb in wide)
 
 
 def check_divmod(a, b):
