@@ -17,8 +17,9 @@ from operator import mul
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
-from .poly import Polynomial, Unit
+from .poly import Polynomial, Unit, _int_conv
 from .roots import (
+    _primitive,
     count_real_roots,
     is_probable_prime,
     rational_roots,
@@ -100,37 +101,73 @@ def _try_centered(p: Polynomial) -> Optional[ShapeClass]:
     )
 
 
-def _charpoly_of_multiplication(p: Polynomial, modulus: Polynomial) -> Polynomial:
-    """Characteristic polynomial of multiplication by p in Q[x]/(modulus).
-
-    Its roots are p at the roots of the modulus, with their multiplicities.
-    Newton's identities give the power sums t_i of the modulus roots; the
-    values' power sums are the traces s_k = sum_i (p^k mod modulus)_i t_i,
-    which Newton's identities turn back into coefficients.
-    """
-    d = modulus.degree
-    a = [Fraction(c, modulus.num[-1]) for c in reversed(modulus.num)]
-    t = [Fraction(d)]
-    for k in range(1, d):
-        t.append(-k * a[k] - sum(a[j] * t[k - j] for j in range(1, k)))
-    reduced = p % modulus
-    power = Polynomial.const(1)
-    s = [Fraction(d)]
-    for _ in range(d):
-        power = (power * reduced) % modulus
-        s.append(sum(map(mul, power.num, t), Fraction(0)) / power.den)
-    coeffs = [Fraction(1)]
-    for k in range(1, d + 1):
-        coeffs.append(-sum(coeffs[j] * s[k - j] for j in range(k)) / k)
-    return Polynomial(coeffs[::-1])
-
-
 def critical_value_polynomial(p: Polynomial) -> Polynomial:
     """The monic polynomial in y whose roots are the critical values of p,
     each with multiplicity equal to the total derivative-multiplicity of
     the critical points above it: the characteristic polynomial of
-    multiplication by p modulo p'.  Its degree is deg(p) - 1."""
-    return _charpoly_of_multiplication(p, p.derivative())
+    multiplication by p modulo p'.  Its degree is deg(p) - 1.
+
+    It runs on integers.  Let b be the primitive numerators of p', of
+    degree d with lead L, and x_j its roots.  The L x_j are the roots of
+    L^(d-1) b(z / L), which is monic over Z, so they are algebraic
+    integers, and so are the values v_j = D p(x_j), D = L^n p.den with
+    n = deg p.  Newton's identities then give the integers
+    T_i = L^(d-1) sum_j x_j^i, i < d, and turn the integer power sums
+    S_k = sum_j v_j^k back into integer elementary symmetric functions
+    E_k, each division exact.  The coefficient of y^(d-k) is
+    (-1)^k E_k / D^k.
+
+    S_k is a trace: p^k mod b = c L^f w / D^k for an integer content c and
+    a primitive w in Z[x], so S_k = c L^(f-d+1) sum_i w_i T_i.  The powers
+    are reduced by integer pseudo-division and kept primitive, so their
+    coefficients stay near the height of p^k mod b over Q.
+    """
+    d = p.derivative().degree
+    if d == 0:
+        return Polynomial.const(1)
+    n = d + 1
+    b = _primitive([i * c for i, c in enumerate(p.num)][1:])
+    lead = b[-1]
+    low = b[:d]
+
+    def rem(v: list[int]) -> tuple[int, list[int], int]:
+        """(g, w, e) with lead^e v = g w mod b, w primitive of degree < d."""
+        e = 0
+        for k in range(len(v) - 1, d - 1, -1):
+            c = v[k]
+            if c:
+                e += 1
+                for j in range(k - d):
+                    v[j] *= lead
+                for j, y in enumerate(low, k - d):
+                    v[j] = v[j] * lead - c * y
+        w = v[:d]
+        g = math.gcd(*w)
+        if g > 1:
+            w = [c // g for c in w]
+        return g, w, e
+
+    # t[i] is T_i, from Newton's identities for b.
+    top = lead ** (d - 1)
+    t = [d * top]
+    for k in range(1, d):
+        u = sum(map(mul, low[d - 1 : d - k : -1], t[k - 1 : 0 : -1]))
+        t.append((-k * low[d - k] * top - u) // lead)
+    g1, w1, e1 = rem(list(p.num))
+    content, f, power = 1, 0, [1]
+    s = [d]
+    for _ in range(d):
+        g, power, e = rem(_int_conv(power, w1))
+        content *= g1 * g
+        f += n - e1 - e
+        s.append(content * lead ** (f - d + 1) * sum(map(mul, power, t)))
+    coeffs = [1]
+    for k in range(1, d + 1):
+        coeffs.append(-sum(map(mul, coeffs, s[k:0:-1])) // k)
+    scale = lead**n * p.den
+    return Polynomial.from_ints(
+        [c * scale**k for k, c in enumerate(reversed(coeffs))], scale**d
+    )
 
 
 def _try_power_outside(p: Polynomial, cv: Polynomial) -> Optional[ShapeClass]:

@@ -146,11 +146,19 @@ def _ahat_numerators(a: Polynomial) -> list[int]:
     return _primitive([0, *a.num[1:]])
 
 
-def _reject_prime(mda: int) -> int:
-    """The largest prime below 2^30 that does not divide mda."""
+def _reject_prime(mda: int, d: int) -> int | None:
+    """The largest prime p, d <= p < 2^15, that does not divide mda, or None.
+
+    Below 2^15 the product of two residues fits in one 30-bit CPython
+    digit.  A p below d would divide some j < d, which the series root
+    divides by, and the floor also ends the walk on an mda that every
+    prime in range divides.
+    """
     p = _FIRST_PRIME
     while mda % p == 0:
         p = _next_prime(p, -2)
+        if p < d:
+            return None
     return p
 
 
@@ -168,8 +176,9 @@ def _distinct_nodes(value, m: int) -> dict | None:
 
 def _rejects_mod_prime(ai: list[int], d: int, m: int) -> bool:
     """True when ahat = ai / da, of degree n = m*d, is proved to have no
-    split g . h with deg(h) = d, modulo a prime p below 2^30 with p not
-    dividing m*da.  False proves nothing.
+    split g . h with deg(h) = d, modulo a prime p with d <= p < 2^15, so
+    that the product of two residues fits in one 30-bit CPython digit,
+    and p not dividing m*da.  False proves nothing.
 
     A split over Q has h and the base-h digits of ahat, g's coefficients,
     p-integral: da^j r_j is an integer for each reversed coefficient r_j
@@ -185,7 +194,9 @@ def _rejects_mod_prime(ai: list[int], d: int, m: int) -> bool:
     nothing is rejected.
     """
     n = m * d
-    p = _reject_prime(m * ai[-1])
+    p = _reject_prime(m * ai[-1], d)
+    if p is None:
+        return False
     # The root's recurrence (see `_int_series_root`) over one-digit
     # residues: m j r_j da = sum over k < j of (j - (m+1) k) f[j-k] r_k.
     f = [c % p for c in ai[n : n - d : -1]]

@@ -1,11 +1,14 @@
 """Rational roots, polynomial gcd, squarefree parts, and real-root counts.
 
 Root finding is exact and complete over the rationals: roots of the
-squarefree part are found modulo a prime below 2^30, Hensel-lifted, and
-recovered by rational reconstruction, and every candidate is verified by
-exact evaluation before it is returned. A polynomial that is squarefree
-modulo that prime, which does not divide its lead, is squarefree over Q,
-so the rational gcd with the derivative runs only when that test fails.
+squarefree part are found modulo a prime, Hensel-lifted, and recovered by
+rational reconstruction, and every candidate is verified by exact
+evaluation before it is returned. A polynomial that is squarefree modulo
+that prime, which does not divide its lead, is squarefree over Q, so the
+rational gcd with the derivative runs only when that test fails. The
+prime is the first good one from 32749, the largest prime below 2^15,
+upward: below 2^15 the product of two residues fits in one 30-bit
+CPython digit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import Sequence
 from .poly import Polynomial
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The largest prime below 2^30: every residue fits in one CPython digit.
-_FIRST_PRIME = (1 << 30) - 35
+# The largest prime below 2^15: the product of two residues fits in one
+# 30-bit CPython digit, and a Frobenius power x^q takes 15 squarings.
+_FIRST_PRIME = 32749
 
 
 def is_probable_prime(n: int) -> bool:
@@ -205,10 +209,12 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
     """Exactly the rational roots of a nonzero polynomial, sorted.
 
     After splitting off the root 0, the roots of the squarefree part are
-    found modulo a prime below 2^30 that keeps it squarefree and of full
-    degree, Hensel-lifted past twice the product of its extreme
-    coefficients, and recovered by rational reconstruction. A candidate
-    is returned only when p vanishes at it exactly.
+    found modulo the first prime from 32749 = 2^15 - 19 upward that keeps
+    it squarefree and of full degree (below 2^15 the product of two
+    residues fits in one 30-bit CPython digit), Hensel-lifted past twice
+    the product of its extreme coefficients, and recovered by rational
+    reconstruction. A candidate is returned only when p vanishes at it
+    exactly.
 
     p is tested first at the prime itself. If q does not divide the lead
     of p and p has no repeated factor mod q, then p is squarefree over Q:

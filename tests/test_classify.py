@@ -141,6 +141,13 @@ def test_critical_value_polynomial(src, expected):
     assert critical_value_polynomial(parse(src)) == parse(expected)
 
 
+def test_critical_value_polynomial_edges():
+    assert critical_value_polynomial(parse("3x - 7/2")) == Polynomial.const(1)
+    for src in ("5", "0"):
+        with pytest.raises(ValueError, match="^the zero polynomial has no degree$"):
+            critical_value_polynomial(parse(src))
+
+
 def test_critical_values_are_roots():
     # each critical point's image must be a root of the critical value
     # polynomial; x^3 - 3x has critical points +-1 with values -+2
@@ -171,6 +178,14 @@ def _oracle_cases():
     cases.append(parse("x^7"))
     cases.append(parse("x^2 - 2") ** 3 * parse("x"))
     cases.append(parse("2x - 1") ** 4 * parse("x^2 + 1") ** 2)
+    # 40-bit leads and denominators at degree 13: the integer path scales
+    # by powers of the lead of p'
+    big = random.Random(31)
+    for den_bits in (40, 0):
+        coeffs = [F(big.randint(-(2**40), 2**40), big.randint(1, 2**den_bits)) for _ in range(13)]
+        lead = F(big.randint(2**39, 2**40), big.randint(1, 2**den_bits))
+        cases.append(Polynomial(coeffs + [lead]))
+    cases.append(Polynomial([F(big.randint(-9, 9), 2**40 - 87) for _ in range(13)] + [F(2**40 + 15, 3)]))
     return cases
 
 

@@ -792,12 +792,12 @@ class TestModularReject:
         assert outcomes == {(True, True), (False, False)}
 
     def test_skips_a_prime_dividing_the_lead(self):
-        p0 = decompose._reject_prime(1)
-        p1 = decompose._reject_prime(2 * p0)
+        p0 = decompose._reject_prime(1, 64)
+        p1 = decompose._reject_prime(2 * p0, 64)
         assert p0 == _FIRST_PRIME
         assert is_probable_prime(p1)
         assert not any(is_probable_prime(q) for q in range(p1 + 2, p0, 2))
-        assert decompose._reject_prime(2 * p0 * p1) < p1
+        assert decompose._reject_prime(2 * p0 * p1, 64) < p1
         # mod p0 the lead of either input has no inverse
         a = parse("x^2 + 3x").compose(self.with_lead(random.Random(47), 64, 2 * p0))
         ai = self.guarded(a, 64)
@@ -805,6 +805,21 @@ class TestModularReject:
         assert not decompose._rejects_mod_prime(ai, 64, 2)
         b = a + Polynomial.monomial(70)
         assert decompose._rejects_mod_prime(self.guarded(b, 64), 64, 2)
+
+    def test_walk_stops_at_the_right_degree(self):
+        # A lead divisible by every prime from the right degree to 2^15
+        # leaves no prime for the reject: it proves nothing and returns,
+        # where an unbounded walk down would never end.
+        d = 64
+        primes = [q for q in range(d, _FIRST_PRIME + 1) if is_probable_prime(q)]
+        lead = 2 * math.prod(primes)
+        assert decompose._reject_prime(lead // primes[0], d) == primes[0]
+        assert decompose._reject_prime(lead, d) is None
+        ai = [0, 1] + [0] * (2 * d - 2) + [lead]
+        assert not decompose._rejects_mod_prime(ai, d, 2)
+        # x^128 + x / lead, whose ahat has these numerators, has no split
+        # of right degree 64; the exact path proves it.
+        assert right_factor(Polynomial.from_ints(ai, lead), d) is None
 
 
 class TestCommonComposite:

@@ -9,14 +9,16 @@ and with 60-bit cofactors.
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polydecomp.parsing import parse
-from polydecomp.poly import ONE, Polynomial, X
+from polydecomp.poly import MAX_LITERAL_DIGITS, ONE, Polynomial, X
 from polydecomp.roots import (
+    _FIRST_PRIME,
     count_real_roots,
     divisors,
     is_probable_prime,
@@ -29,7 +31,7 @@ from polydecomp.roots import (
 
 
 # The first prime rational_roots tries.
-Q0 = 2**30 - 35
+Q0 = _FIRST_PRIME
 
 
 def poly_with_roots(roots, cofactor=ONE, lead=1):
@@ -148,6 +150,11 @@ class TestRationalRoots:
         cubic = parse("-937711753x^3 + 138251922x^2 + 980677840x + 400227407")
         assert rational_roots(cubic) == ()
         assert rational_roots(cubic * cubic) == ()
+        # and for Q0: each has a root mod Q0 whose lift reconstructs to
+        # 2873/4051 and -40/3307, inside the coefficient bounds
+        for src in ("7638x^2 + 16109x + 12313", "12890x^3 + 16342x^2 + 2238x + 3497"):
+            q = parse(src)
+            assert rational_roots(q) == () == sympy_rational_roots(q)
 
     @pytest.mark.parametrize(
         "q",
@@ -190,6 +197,29 @@ class TestRationalRoots:
         quad = Polynomial([F(c), F(0), F(a)])
         assert rational_roots(quad) == ()
         assert rational_roots(quad * parse("x - 1")) == (F(1),)
+
+    def test_bad_prime_walk_within_budget(self):
+        # a is the product of the consecutive primes from Q0 up that fits in
+        # one literal, and c of the next ones: each of the first 1858 primes
+        # of the walk divides the lead or the constant of a*x^2 + c.
+        def prime_run(q):
+            """The product of the consecutive primes from the prime q up
+            that stays below 10^MAX_LITERAL_DIGITS, and the next prime."""
+            run, cap = 1, 10**MAX_LITERAL_DIGITS
+            while run * q < cap:
+                run *= q
+                q += 2
+                while not is_probable_prime(q):
+                    q += 2
+            return run, q
+
+        a, q = prime_run(Q0)
+        c, _ = prime_run(q)
+        quad = Polynomial([c, 0, a])
+        t0 = time.perf_counter()
+        assert rational_roots(quad) == ()
+        assert rational_roots(-quad) == ()
+        assert time.perf_counter() - t0 < 0.5
 
     def test_planted_seeded(self):
         rng = random.Random(7)
