@@ -178,8 +178,9 @@ def _oracle_cases():
     cases.append(parse("x^7"))
     cases.append(parse("x^2 - 2") ** 3 * parse("x"))
     cases.append(parse("2x - 1") ** 4 * parse("x^2 + 1") ** 2)
-    # 40-bit leads and denominators at degree 13: the integer path scales
-    # by powers of the lead of p'
+    # 40-bit leads at degree 13, over 40-bit denominators, over none and
+    # over one shared 40-bit denominator: the integer path scales by
+    # powers of the lead of p'
     big = random.Random(31)
     for den_bits in (40, 0):
         coeffs = [F(big.randint(-(2**40), 2**40), big.randint(1, 2**den_bits)) for _ in range(13)]
