@@ -17,7 +17,7 @@ from operator import mul
 from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
-from .poly import Polynomial, Unit, _int_conv
+from .poly import ONE, Polynomial, Unit, _int_conv
 from .roots import (
     _primitive,
     count_real_roots,
@@ -170,35 +170,30 @@ def critical_value_polynomial(p: Polynomial) -> Polynomial:
     )
 
 
-def _try_power_outside(p: Polynomial, cv: Polynomial) -> Optional[ShapeClass]:
+def _try_power_outside(p: Polynomial, centers: tuple[Fraction, ...]) -> Optional[ShapeClass]:
     """Detect p = u . [x^s g(x)^l] . (x - x0) with rational data.
 
-    The additive constant of u must be a critical value b of p; rational
-    candidates are the rational roots of the critical value polynomial cv.
+    The additive constant of u must be one of the critical values b in
+    `centers` (see `_power_outside_candidates`), tried in ascending order.
     For each, p - b is split into squarefree parts: the shape holds iff
     exactly one multiplicity class escapes divisibility by a prime l, that
     class is a single rational point (its part is linear), and the rest
     assemble into an exact l-th power.
     """
     lc = p.lead
-    for b in rational_roots(cv):
+    for b in centers:
         _, parts = squarefree_decomposition(p - b)
         mults = sorted(e for e in parts)
         for s in mults:
             if parts[s].degree != 1:
                 continue
             others = [e for e in mults if e != s]
-            if not others:
-                continue
-            shared = math.gcd(*others)
+            shared = math.gcd(*others)  # 0 when there are none
             for l in range(2, shared + 1):
                 if shared % l or not is_probable_prime(l) or s % l == 0:
                     continue
                 x0 = -parts[s][0]
-                ghat = Polynomial.const(1)
-                for e in others:
-                    ghat = ghat * parts[e] ** (e // l)
-                g = ghat.shift_arg(x0)
+                g = math.prod((parts[e] ** (e // l) for e in others), start=ONE).shift_arg(x0)
                 shape = ShapeClass(
                     tag="Q",
                     source=p,
@@ -230,28 +225,26 @@ def _qualifying_multiplicities(n: int) -> set[int]:
     return set(range(n - 1 - delta_max, n))
 
 
-def _has_irrational_real_candidate(cv: Polynomial) -> bool:
-    """True when the critical value polynomial cv has an irrational real
-    root whose multiplicity a power-outside shape could produce.  Parts are
-    squarefree, so that means more real roots than rational ones."""
+def _power_outside_candidates(cv: Polynomial) -> tuple[Polynomial, tuple[Fraction, ...]]:
+    """(c, roots): c is the product of the squarefree parts of cv whose
+    multiplicity qualifies, so only its roots can be the additive constant
+    of a power-outside shape, and roots are its rational roots, ascending.
+    The parts are coprime, so c is squarefree."""
     qualifying = _qualifying_multiplicities(cv.degree + 1)
     _, parts = squarefree_decomposition(cv)
-    return any(
-        count_real_roots(part) > len(rational_roots(part))
-        for k, part in parts.items()
-        if k in qualifying
-    )
+    c = math.prod((f for k, f in parts.items() if k in qualifying), start=ONE)
+    return c, () if c.is_constant else rational_roots(c)
 
 
 def classify_shape(p: Polynomial) -> ShapeClass:
     """Tag an indecomposable polynomial P, Q, R or Undetermined.
 
     Pure powers and the power-inside pattern are tried first at their one
-    pinned center (hence completely), then power-outside over rational
-    centering data.  If all three fail, the result is R when
-    every remaining candidate center is certified non-real or rational (and
-    already refuted), and Undetermined when an irrational real candidate
-    survives.
+    pinned center (hence completely), then power-outside at the rational
+    candidates of one squarefree decomposition of the critical values.  If
+    all three fail, the result is R when every remaining candidate is
+    certified non-real or rational (and already refuted), and Undetermined
+    when an irrational real candidate survives.
     """
     if p.is_constant or p.degree < 2:
         raise ValueError("classification needs degree >= 2")
@@ -260,11 +253,11 @@ def classify_shape(p: Polynomial) -> ShapeClass:
     shape = _try_centered(p)
     if shape is not None:
         return shape
-    cv = critical_value_polynomial(p)
-    shape = _try_power_outside(p, cv)
+    candidates, centers = _power_outside_candidates(critical_value_polynomial(p))
+    shape = _try_power_outside(p, centers)
     if shape is not None:
         return shape
-    if _has_irrational_real_candidate(cv):
+    if not candidates.is_constant and count_real_roots(candidates) > len(centers):
         return ShapeClass(tag="Undetermined", source=p)
     return ShapeClass(tag="R", source=p)
 

@@ -195,7 +195,7 @@ def _rat_reconstruct(t: int, m: int, num_bound: int, den_bound: int):
     return Fraction(r1, s1)
 
 
-def _squarefree_image(ints: list[int], q: int) -> list[int] | None:
+def _squarefree_image(ints: Sequence[int], q: int) -> list[int] | None:
     """The monic image of ints mod q, or None when q divides the lead or
     the image has a repeated factor."""
     if ints[-1] % q == 0:
@@ -276,9 +276,12 @@ def rational_roots(p: Polynomial) -> tuple[Fraction, ...]:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (a constant gcd is returned as 1)."""
+    """Monic greatest common divisor (a constant gcd is returned as 1), by a
+    primitive remainder sequence: each remainder is made primitive over Z,
+    so its coefficients do not grow as in the rational Euclidean sequence."""
     while not b.is_zero:
-        a, b = b, a % b
+        r = a % b
+        a, b = b, Polynomial.from_ints(_primitive(r.num), 1) if r.num else r
     if a.is_zero:
         return a
     return a * (1 / a.lead)
@@ -288,6 +291,9 @@ def squarefree_decomposition(p: Polynomial) -> tuple[Fraction, dict[int, Polynom
     """Yun's algorithm: p = content * prod(part^mult), parts monic squarefree.
 
     Returns (content, {multiplicity: part}) with only nonconstant parts.
+    No gcd runs when 32749 does not divide the lead of the monic p's
+    numerators and p is squarefree modulo 32749, for then p is squarefree
+    over Q (see `rational_roots`).
     """
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
@@ -295,10 +301,10 @@ def squarefree_decomposition(p: Polynomial) -> tuple[Fraction, dict[int, Polynom
     p = p * (1 / content)
     if p.is_constant:
         return content, {}
+    if _squarefree_image(p.num, _FIRST_PRIME) is not None:
+        return content, {1: p}
     parts: dict[int, Polynomial] = {}
     g = poly_gcd(p, p.derivative())
-    if g.is_constant:
-        return content, {1: p}
     b = p // g
     c = p.derivative() // g
     d = c - b.derivative()

@@ -4,7 +4,8 @@ critical_value_polynomial is checked against a live oracle: sympy's
 resultant res_x(p'(x), p(x) - y), made monic, on seeded polynomials of
 degree 2-12 and on products with repeated roots; a few values are also
 frozen in CV_TABLE.  The classifier itself is exercised on examples whose
-shape is visible by hand.
+shape is visible by hand, and against `full_scan_classify`, which tries
+power-outside at every rational root of the critical value polynomial.
 """
 
 import random
@@ -14,8 +15,10 @@ import pytest
 import sympy
 
 import polydecomp.classify as classify
+import polydecomp.roots as roots
 from polydecomp.classify import (
-    _has_irrational_real_candidate,
+    ShapeClass,
+    _power_outside_candidates,
     classify_shape,
     critical_value_polynomial,
     invariants_of_factors,
@@ -23,9 +26,11 @@ from polydecomp.classify import (
 )
 from polydecomp.chebyshev import chebyshev
 from polydecomp.cli import _invariants_json
-from polydecomp.decompose import enumerate_classes
+from polydecomp.corpus import indecomposable_factor
+from polydecomp.decompose import complete_decomposition, enumerate_classes
 from polydecomp.parsing import parse
-from polydecomp.poly import Polynomial, compose_all
+from polydecomp.poly import Polynomial, Unit, compose_all
+from polydecomp.roots import count_real_roots, rational_roots, squarefree_decomposition
 
 
 class TestPowerShape:
@@ -238,14 +243,121 @@ def test_classify_recenters_once(monkeypatch, src, tag):
     assert len(calls) == 1
 
 
+def has_irrational_real_candidate(p):
+    """Whether the critical values of p that a power-outside shape could
+    use include an irrational real one: the test classify_shape makes
+    before it answers Undetermined."""
+    candidates, centers = _power_outside_candidates(critical_value_polynomial(p))
+    return count_real_roots(candidates) > len(centers)
+
+
 class TestIrrationalCandidates:
     def test_present(self):
-        cv = critical_value_polynomial(parse("3x^5 - 20x^3 + 60x"))
-        assert _has_irrational_real_candidate(cv)
+        assert has_irrational_real_candidate(parse("3x^5 - 20x^3 + 60x"))
 
     def test_absent(self):
-        cv = critical_value_polynomial(parse("x^5 + x^4 + x"))
-        assert not _has_irrational_real_candidate(cv)
+        assert not has_irrational_real_candidate(parse("x^5 + x^4 + x"))
+
+
+def full_scan_classify(p):
+    """classify_shape as it was before it kept only the critical values of
+    qualifying multiplicity: power-outside is tried at every rational root
+    of the critical value polynomial cv, and the Undetermined test splits
+    cv into squarefree parts a second time and counts roots part by part."""
+    shape = classify._try_centered(p)
+    if shape is not None:
+        return shape
+    cv = critical_value_polynomial(p)
+    shape = classify._try_power_outside(p, rational_roots(cv))
+    if shape is not None:
+        return shape
+    qualifying = classify._qualifying_multiplicities(cv.degree + 1)
+    _, parts = squarefree_decomposition(cv)
+    if any(
+        count_real_roots(part) > len(rational_roots(part))
+        for k, part in parts.items()
+        if k in qualifying
+    ):
+        return ShapeClass(tag="Undetermined", source=p)
+    return ShapeClass(tag="R", source=p)
+
+
+def _corpus_factors():
+    rng = random.Random(43)
+    out = []
+    for deg in range(2, 12):
+        for _ in range(12):
+            out.extend(complete_decomposition(indecomposable_factor(rng, deg)).factors)
+    return out
+
+
+def _power_outside_shapes():
+    """lc * (x - x0)^s * g(x - x0)^l + b of prime degree s + l deg g, so
+    indecomposable, with l not dividing s and g(0) != 0."""
+    rng = random.Random(47)
+
+    def rat():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    out = []
+    for l, s, dg in [(2, 1, 3), (2, 3, 2), (2, 1, 5), (2, 5, 4), (3, 1, 2), (3, 2, 3),
+                     (3, 4, 3), (5, 2, 1), (5, 1, 2), (5, 3, 2)]:
+        for _ in range(2):
+            g = Polynomial([F(rng.choice((1, -1, 2, 3)))] + [rat() for _ in range(dg - 1)]
+                           + [F(rng.choice((1, -2, 3)))])
+            core = Polynomial.monomial(s) * g**l
+            lc = F(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 7)))
+            out.append(Unit(shift=rat(), scale=lc).apply_left(core.shift_arg(-rat())))
+    return out
+
+
+class TestFullScanOracle:
+    @pytest.mark.parametrize("p", _corpus_factors(), ids=str)
+    def test_corpus_factors(self, p):
+        assert classify_shape(p) == full_scan_classify(p)
+
+    @pytest.mark.parametrize("p", _power_outside_shapes(), ids=str)
+    def test_power_outside_shapes(self, p):
+        shape = classify_shape(p)
+        assert (shape.tag, shape.recompose()) == ("Q", p)
+        assert shape == full_scan_classify(p)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "3x^5 - 20x^3 + 60x",
+            "3x^5 - 20x^3 + 60x + 1/2",
+            # the Dickson polynomial D_7(x, 2): critical values
+            # +-2^(9/2), each of multiplicity 3
+            "x^7 - 14x^5 + 56x^3 - 56x",
+        ],
+    )
+    def test_undetermined(self, monkeypatch, src):
+        # These are power-inside at a rational center, and their irrational
+        # real critical values have qualifying multiplicity; with the
+        # centered detector off, both classifiers reach the Undetermined test.
+        monkeypatch.setattr(classify, "_try_centered", lambda p: None)
+        p = parse(src)
+        assert classify_shape(p) == full_scan_classify(p) == ShapeClass(tag="Undetermined", source=p)
+
+
+def test_squarefree_critical_values_need_no_roots_and_no_gcd(monkeypatch):
+    # an R septic whose critical value polynomial is squarefree modulo
+    # 32749: no critical value qualifies, and no rational gcd runs
+    calls = []
+
+    def spy(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        return counted
+
+    for module in (classify, roots):
+        monkeypatch.setattr(module, "rational_roots", spy("rational_roots", rational_roots))
+    monkeypatch.setattr(roots, "poly_gcd", spy("poly_gcd", roots.poly_gcd))
+    assert classify_shape(parse("x^7 + x^2 + x")).tag == "R"
+    assert calls == []
 
 
 class TestInvariants:

@@ -156,6 +156,24 @@ class TestBasics:
         assert (code, out) == (2, "")
         assert "needs powers of 4194303 coefficients" in err
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            "x^101 + x^2 + x",
+            # x^3 (x - 1)^2 (x^36 + 2), whose critical values are not squarefree
+            "x^41 - 2x^40 + x^39 + 2x^5 - 4x^4 + 2x^3",
+        ],
+    )
+    def test_classify_within_budget(self, poly):
+        # a child process, so that a slow gcd is killed at the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp.cli", "classify", "--poly", poly],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "tag: R\n", "")
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "polys.json"
         path.write_text(json.dumps(["x^2", "x^3 + x"]))

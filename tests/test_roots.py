@@ -323,6 +323,61 @@ def test_squarefree_of_squarefree():
     assert parts == {1: parse("x^2 - 1")}
 
 
+def sympy_squarefree_decomposition(q):
+    import sympy
+
+    coeffs = [sympy.Rational(c, q.den) for c in reversed(q.num)]
+    lead, factors = sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").sqf_list()
+
+    def poly(f):
+        return Polynomial(F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs()))
+
+    return F(int(lead.p), int(lead.q)), {k: poly(f) for f, k in factors}
+
+
+def _squarefree_cases():
+    rng = random.Random(53)
+    cases = []
+    for _ in range(40):
+        q = Polynomial.const(F(rng.choice((1, -1, 2, 5)), rng.randint(1, 7)))
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 3)
+            f = Polynomial([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)] + [F(1)])
+            q = q * f ** rng.choice((1, 1, 2, 3, 4))
+        cases.append(q)
+    return cases
+
+
+@pytest.mark.parametrize("q", _squarefree_cases(), ids=str)
+def test_squarefree_decomposition_matches_sympy(q):
+    assert squarefree_decomposition(q) == sympy_squarefree_decomposition(q)
+
+
+@pytest.mark.parametrize(
+    "q,gcds",
+    [
+        (parse("x - 1") * parse("x - 2") * parse("x^2 + 1"), 0),
+        # squarefree over Q, but 32749 divides the lead of the numerators
+        # of its monic form x^2 + x/Q0 + 1/Q0
+        (Polynomial([1, 1, Q0]), 2),
+        # squarefree over Q, but its two roots meet mod 32749
+        (poly_with_roots([1, 1 + Q0]), 2),
+        (parse("x^2 + 1") ** 2 * parse("x - 3"), 3),
+    ],
+    ids=["squarefree", "lead-divisible-by-q0", "collide-mod-q0", "repeated-factor"],
+)
+def test_squarefree_decomposition_gcd_only_when_the_modular_test_fails(monkeypatch, q, gcds):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr("polydecomp.roots.poly_gcd", spy)
+    assert squarefree_decomposition(q) == sympy_squarefree_decomposition(q)
+    assert len(calls) == gcds
+
+
 class TestRealRootCount:
     @pytest.mark.parametrize(
         "text,n",
