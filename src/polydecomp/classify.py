@@ -188,12 +188,17 @@ def _try_power_outside(p: Polynomial, centers: tuple[Fraction, ...]) -> Optional
             if parts[s].degree != 1:
                 continue
             others = [e for e in mults if e != s]
-            shared = math.gcd(*others)  # 0 when there are none
+            if not others:
+                continue
+            shared = math.gcd(*others)
             for l in range(2, shared + 1):
                 if shared % l or not is_probable_prime(l) or s % l == 0:
                     continue
                 x0 = -parts[s][0]
-                g = math.prod((parts[e] ** (e // l) for e in others), start=ONE).shift_arg(x0)
+                ghat = Polynomial.const(1)
+                for e in others:
+                    ghat = ghat * parts[e] ** (e // l)
+                g = ghat.shift_arg(x0)
                 shape = ShapeClass(
                     tag="Q",
                     source=p,
