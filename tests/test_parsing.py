@@ -90,6 +90,68 @@ def test_rejects(text):
         parse(text)
 
 
+# One row per raise site in parsing.py, offsets and messages pinned exactly.
+_LONG = "9" * (MAX_LITERAL_DIGITS + 1)
+PARSE_ERRORS = [
+    ("x^2 + $", 6, "unexpected character '$'"),
+    (_LONG + "x", 0, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
+    ("x + 3/" + _LONG, 6, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
+    ("", 0, "empty expression"),
+    ("   ", 0, "empty expression"),
+    ("x x", 2, "expected '+' or '-', got 'x'"),
+    ("2 x^2 3", 6, "expected '+' or '-', got '3'"),
+    ("2x^2x", 4, "expected '+' or '-', got 'x'"),
+    ("x +", 3, "expected a term"),
+    ("x^2 +", 5, "expected a term"),
+    ("* x", 0, "expected a term, got '*'"),
+    ("x + ^2", 4, "expected a term, got '^'"),
+    ("1/", 2, "unexpected end of expression"),
+    ("2*", 2, "unexpected end of expression"),
+    ("3/ x", 3, "expected a positive integer denominator"),
+    ("1/-2", 2, "expected a positive integer denominator"),
+    ("1/0", 2, "division by zero in rational literal"),
+    ("2**x", 2, "expected 'x', got '*'"),
+    ("2*3", 2, "expected 'x', got '3'"),
+    ("x^", 2, "expected an exponent"),
+    ("x^-2", 2, "exponent must be a nonnegative integer"),
+    ("x^x", 2, "exponent must be a nonnegative integer"),
+    ("x^^2", 2, "exponent must be a nonnegative integer"),
+    ("x^2/4", 3, "exponent must be an integer"),
+    ("x^4097", 2, f"exponent exceeds the degree cap {MAX_DEGREE}"),
+    ("1 + x^" + "9" * 5000, 6, f"exponent exceeds the degree cap {MAX_DEGREE}"),
+]
+RATIONAL_ERRORS = [
+    ("1.5", 1, "unexpected character '.'"),
+    (_LONG, 0, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
+    ("1/" + _LONG, 2, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
+    ("", 0, "unexpected end of expression"),
+    ("-", 1, "unexpected end of expression"),
+    ("+", 1, "unexpected end of expression"),
+    ("1/", 2, "unexpected end of expression"),
+    ("x", 0, "expected an integer, got 'x'"),
+    ("--1", 1, "expected an integer, got '-'"),
+    ("1/x", 2, "expected a positive integer denominator"),
+    ("1/0", 2, "division by zero in rational literal"),
+    ("1 2", 2, "expected the end of the rational, got '2'"),
+    ("1/2x", 3, "expected the end of the rational, got 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,text,offset,message",
+    [
+        pytest.param(reader, *row, id=f"{reader.__name__}-{row[0][:12]!r}")
+        for reader, rows in ((parse, PARSE_ERRORS), (parse_rational, RATIONAL_ERRORS))
+        for row in rows
+    ],
+)
+def test_error_offsets_and_messages(reader, text, offset, message):
+    with pytest.raises(ParseError) as info:
+        reader(text)
+    assert info.value.offset == offset
+    assert str(info.value) == f"syntax error at offset {offset}: {message}"
+
+
 def test_degree_cap():
     # The cap is checked on the exponent token, before the dense
     # coefficient list exists, so a huge exponent fails at once.
