@@ -9,8 +9,8 @@ Grammar (whitespace insignificant)::
 
 Exponents above ``poly.MAX_DEGREE`` are rejected before any coefficient
 list is built, and integer literals longer than ``poly.MAX_LITERAL_DIGITS``
-digits before they are converted.  `parse_rational` reads a signed
-``rational`` under the same literal cap.
+digits before they are converted; shorter ones are read at any int-to-str
+limit.  `parse_rational` reads a signed ``rational`` under the same cap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial, _int_text
+from .poly import MAX_DEGREE, MAX_LITERAL_DIGITS, Polynomial, _int_text, _text_int
 
 
 class ParseError(ValueError):
@@ -32,9 +32,11 @@ class ParseError(ValueError):
 _INT = "int"
 _X = "x"
 _OP = "op"
+_END = "end"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text, then an end marker at offset len(text)."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -58,7 +60,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         raise ParseError(i, f"unexpected character {ch!r}")
+    tokens.append((_END, "", n))
     return tokens
+
+
+def _unexpected(tok: tuple[str, str, int], message: str) -> ParseError:
+    """The error for a token that is not the one wanted: `message`, or the
+    end of the expression when tok is the end marker."""
+    if tok[0] == _END:
+        return ParseError(tok[2], "unexpected end of expression")
+    return ParseError(tok[2], message)
 
 
 def _literal(digits: str, offset: int) -> int:
@@ -66,129 +77,105 @@ def _literal(digits: str, offset: int) -> int:
         raise ParseError(
             offset, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"
         )
-    return int(digits)
+    return _text_int(digits)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _rational(tokens: list[tuple[str, str, int]], i: int) -> tuple[int, int, int]:
+    """Read ``rational`` at tokens[i]: (numerator, denominator, next index)."""
+    kind, value, offset = tokens[i]
+    if kind != _INT:
+        raise _unexpected(tokens[i], f"expected an integer, got {value!r}")
+    num = _literal(value, offset)
+    if tokens[i + 1][1] != "/":
+        return num, 1, i + 1
+    kind, value, offset = tokens[i + 2]
+    if kind != _INT:
+        raise _unexpected(tokens[i + 2], "expected a positive integer denominator")
+    den = _literal(value, offset)
+    if den == 0:
+        raise ParseError(offset, "division by zero in rational literal")
+    return num, den, i + 3
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        if not self.tokens:
-            raise ParseError(0, "empty expression")
-        buckets: dict[int, Fraction] = {}
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == _OP and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        while True:
-            exp, coef = self._term()
-            buckets[exp] = buckets.get(exp, Fraction(0)) + sign * coef
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == _OP and tok[1] in "+-":
-                self.take()
-                sign = -1 if tok[1] == "-" else 1
-                continue
-            raise ParseError(tok[2], f"expected '+' or '-', got {tok[1]!r}")
-        if not buckets:
-            return Polynomial()
-        top = max(buckets)
-        return Polynomial([buckets.get(i, Fraction(0)) for i in range(top + 1)])
-
-    def _term(self) -> tuple[int, Fraction]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(len(self.text), "expected a term")
-        if tok[0] == _INT:
-            coef = self._rational()
-            nxt = self.peek()
-            if nxt and nxt[0] == _OP and nxt[1] == "*":
-                self.take()
-                return self._xpart(), coef
-            if nxt and nxt[0] == _X:
-                return self._xpart(), coef
-            return 0, coef
-        if tok[0] == _X:
-            return self._xpart(), Fraction(1)
-        raise ParseError(tok[2], f"expected a term, got {tok[1]!r}")
-
-    def _rational(self) -> Fraction:
-        kind, value, offset = self.take()
-        if kind != _INT:
-            raise ParseError(offset, f"expected an integer, got {value!r}")
-        num = _literal(value, offset)
-        tok = self.peek()
-        if tok and tok[0] == _OP and tok[1] == "/":
-            self.take()
-            dkind, dvalue, doffset = self.take()
-            if dkind != _INT:
-                raise ParseError(doffset, "expected a positive integer denominator")
-            den = _literal(dvalue, doffset)
-            if den == 0:
-                raise ParseError(doffset, "division by zero in rational literal")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _xpart(self) -> int:
-        kind, value, offset = self.take()
-        if kind != _X:
-            raise ParseError(offset, f"expected 'x', got {value!r}")
-        tok = self.peek()
-        if tok and tok[0] == _OP and tok[1] == "^":
-            self.take()
-            etok = self.peek()
-            if etok is None:
-                raise ParseError(len(self.text), "expected an exponent")
-            if etok[0] == _OP and etok[1] == "-":
-                raise ParseError(etok[2], "exponent must be a nonnegative integer")
-            ekind, evalue, eoffset = self.take()
-            if ekind != _INT:
-                raise ParseError(eoffset, "exponent must be a nonnegative integer")
-            nxt = self.peek()
-            if nxt and nxt[0] == _OP and nxt[1] == "/":
-                raise ParseError(nxt[2], "exponent must be an integer")
-            digits = evalue.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                raise ParseError(
-                    eoffset, f"exponent exceeds the degree cap {MAX_DEGREE}"
-                )
-            return int(digits)
-        return 1
+def _sign(tokens: list[tuple[str, str, int]], i: int) -> tuple[bool, int]:
+    """Read an optional "+" or "-" at tokens[i]: (negative, next index)."""
+    op = tokens[i][1]
+    if op == "-":
+        return True, i + 1
+    return False, i + 1 if op == "+" else i
 
 
 def parse(text: str) -> Polynomial:
     """Parse a polynomial expression; raises ParseError with a byte offset."""
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    if tokens[0][0] == _END:
+        raise ParseError(0, "empty expression")
+    terms: dict[int, tuple[int, int]] = {}  # exponent -> (num, den)
+    neg, i = _sign(tokens, 0)
+    while True:
+        kind, value, offset = tokens[i]
+        if kind == _INT:
+            num, den, i = _rational(tokens, i)
+            kind, value, offset = tokens[i]
+            if value == "*":
+                i += 1
+                kind, value, offset = tokens[i]
+                if kind != _X:
+                    raise _unexpected(tokens[i], f"expected 'x', got {value!r}")
+        elif kind == _X:
+            num = den = 1
+        elif kind == _END:
+            raise ParseError(offset, "expected a term")
+        else:
+            raise ParseError(offset, f"expected a term, got {value!r}")
+        exp = 0  # an xpart follows when tokens[i] is x
+        if kind == _X:
+            exp = 1
+            i += 1
+            if tokens[i][1] == "^":
+                kind, value, offset = tokens[i + 1]
+                if kind == _END:
+                    raise ParseError(offset, "expected an exponent")
+                if kind != _INT:
+                    raise ParseError(offset, "exponent must be a nonnegative integer")
+                i += 2
+                if tokens[i][1] == "/":
+                    raise ParseError(tokens[i][2], "exponent must be an integer")
+                digits = value.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                    raise ParseError(
+                        offset, f"exponent exceeds the degree cap {MAX_DEGREE}"
+                    )
+                exp = int(digits)
+        if neg:
+            num = -num
+        if exp in terms:
+            a, b = terms[exp]
+            lcm = b // math.gcd(b, den) * den
+            num, den = a * (lcm // b) + num * (lcm // den), lcm
+        terms[exp] = num, den
+        kind, value, offset = tokens[i]
+        if kind == _END:
+            break
+        if value != "+" and value != "-":
+            raise ParseError(offset, f"expected '+' or '-', got {value!r}")
+        neg, i = value == "-", i + 1
+    den = math.lcm(*[b for _, b in terms.values()])
+    num = [0] * (max(terms) + 1)
+    for exp, (a, b) in terms.items():
+        num[exp] = a * (den // b)
+    return Polynomial.from_ints(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``["+"|"-"] rational``; raises ParseError with a byte offset."""
-    ps = _Parser(text)
-    tok = ps.peek()
-    sign = 1
-    if tok and tok[0] == _OP and tok[1] in "+-":
-        ps.take()
-        sign = -1 if tok[1] == "-" else 1
-    value = sign * ps._rational()
-    tok = ps.peek()
-    if tok is not None:
-        raise ParseError(tok[2], f"expected the end of the rational, got {tok[1]!r}")
-    return value
+    tokens = _tokenize(text)
+    neg, i = _sign(tokens, 0)
+    num, den, i = _rational(tokens, i)
+    kind, value, offset = tokens[i]
+    if kind != _END:
+        raise ParseError(offset, f"expected the end of the rational, got {value!r}")
+    return Fraction(-num if neg else num, den)
 
 
 def _rational_text(n: int, d: int) -> str:

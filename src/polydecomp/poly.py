@@ -26,7 +26,8 @@ MAX_DEGREE = 4096
 # The longest integer literal the parser reads, in decimal digits.  It is
 # CPython's default limit on converting a string to an int (since 3.10.7 and
 # 3.11), so a longer literal is a ParseError on every supported version, not
-# a plain ValueError on some and a silent parse on others.
+# a plain ValueError on some and a silent parse on others.  A literal within
+# the cap is read by `_text_int`, so it parses under a lower limit too.
 MAX_LITERAL_DIGITS = 4300
 
 # Below these sizes plain convolution beats the big-int packing path.
