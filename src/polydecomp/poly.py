@@ -87,7 +87,8 @@ def _text_int(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        pass
+        if len(s) < 2:
+            raise
     k = len(s) // 2
     return _text_int(s[:-k]) * 10**k + _text_int(s[-k:])
 

@@ -285,7 +285,9 @@ class TestCuspCommands:
         assert payload["move"]["factors"] == ["x^2", "x^2 - 1/4", "x^2 + 1/2"]
         assert payload["move"]["in_A"] == [True, True, True]
 
-    @pytest.mark.parametrize("shift", ["1e5000", "1/0", "0.5", "9" * 4301, "1/2x"])
+    @pytest.mark.parametrize(
+        "shift", ["1e5000", "1/0", "0.5", "9" * 4301, "1/2x", "3\u00b2"]
+    )
     def test_move_rejects_a_bad_shift(self, shift):
         t0 = time.perf_counter()
         code, out, err = run(
@@ -330,6 +332,14 @@ class TestExitCodes:
         assert run(["classify", "--poly", "x^4 + x^2"])[0] == 2
         assert run(["parse", "--poly", "x^2/4"])[0] == 2
         assert run(["cusp", "report", "--poly", "x^2 + x"])[0] == 2
+
+    @pytest.mark.parametrize("poly", ["\u00b2", "3\u00b2x", "x^\u00b3"])
+    def test_non_decimal_digit_is_2(self, poly):
+        # str.isdigit() holds for these but int() does not read them
+        for cmd in ("classify", "parse"):
+            code, out, err = run([cmd, "--poly", poly])
+            assert (code, out) == (2, "")
+            assert "unexpected character" in err
 
     @pytest.mark.parametrize("poly", ["x + 1", "5", "0"])
     def test_classes_below_degree_two_is_2(self, poly):

@@ -136,32 +136,13 @@ def test_equivalent_spellings(a, b):
     assert parse(a) == parse(b)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "x +",
-        "y",
-        "x^-2",
-        "x^2/4",      # a fractional exponent, not a divided coefficient
-        "1/0",
-        "2**x",
-        "x^^2",
-        "x^",
-        "* x",
-        "3/ x",
-        "x x",
-    ],
-)
-def test_rejects(text):
-    with pytest.raises(ParseError):
-        parse(text)
-
-
 # One row per raise site in parsing.py, offsets and messages pinned exactly.
 _LONG = "9" * (MAX_LITERAL_DIGITS + 1)
 PARSE_ERRORS = [
     ("x^2 + $", 6, "unexpected character '$'"),
+    ("y", 0, "unexpected character 'y'"),
+    ("3\u00b2x", 1, "unexpected character '\u00b2'"),  # isdigit() but not int()
+    ("x^\u00b3", 2, "unexpected character '\u00b3'"),
     (_LONG + "x", 0, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
     ("x + 3/" + _LONG, 6, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
     ("", 0, "empty expression"),
@@ -190,6 +171,8 @@ PARSE_ERRORS = [
 ]
 RATIONAL_ERRORS = [
     ("1.5", 1, "unexpected character '.'"),
+    ("1e5000", 1, "unexpected character 'e'"),
+    ("\u00b2", 0, "unexpected character '\u00b2'"),
     (_LONG, 0, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
     ("1/" + _LONG, 2, f"integer literal exceeds the {MAX_LITERAL_DIGITS}-digit cap"),
     ("", 0, "unexpected end of expression"),
@@ -199,25 +182,32 @@ RATIONAL_ERRORS = [
     ("x", 0, "expected an integer, got 'x'"),
     ("--1", 1, "expected an integer, got '-'"),
     ("1/x", 2, "expected a positive integer denominator"),
+    ("1/-2", 2, "expected a positive integer denominator"),
     ("1/0", 2, "division by zero in rational literal"),
     ("1 2", 2, "expected the end of the rational, got '2'"),
     ("1/2x", 3, "expected the end of the rational, got 'x'"),
 ]
 
 
-@pytest.mark.parametrize(
-    "reader,text,offset,message",
-    [
-        pytest.param(reader, *row, id=f"{reader.__name__}-{row[0][:12]!r}")
-        for reader, rows in ((parse, PARSE_ERRORS), (parse_rational, RATIONAL_ERRORS))
+def error_rows(rows):
+    """pytest params of (text, offset, message) rows, each with its text as
+    its id, cut short past 20 characters."""
+    return [
+        pytest.param(*row, id=row[0] if len(row[0]) <= 20 else f"{row[0][:12]}...")
         for row in rows
-    ],
-)
-def test_error_offsets_and_messages(reader, text, offset, message):
+    ]
+
+
+def assert_rejects(reader, text, offset, message):
     with pytest.raises(ParseError) as info:
         reader(text)
     assert info.value.offset == offset
     assert str(info.value) == f"syntax error at offset {offset}: {message}"
+
+
+@pytest.mark.parametrize("text,offset,message", error_rows(PARSE_ERRORS))
+def test_rejects(text, offset, message):
+    assert_rejects(parse, text, offset, message)
 
 
 def test_degree_cap():
@@ -279,13 +269,9 @@ class TestParseRational:
     def test_values(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "-", "1/0", "1/", "1e5000", "1.5", "1/-2", "x", "1 2", "1/2x", "--1"],
-    )
-    def test_rejects(self, text):
-        with pytest.raises(ParseError):
-            parse_rational(text)
+    @pytest.mark.parametrize("text,offset,message", error_rows(RATIONAL_ERRORS))
+    def test_rejects(self, text, offset, message):
+        assert_rejects(parse_rational, text, offset, message)
 
     def test_literal_cap(self):
         big = "9" * MAX_LITERAL_DIGITS

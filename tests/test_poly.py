@@ -329,6 +329,10 @@ class TestDecimalMultiply:
             assert poly._int_text(-n) == str(decimal.Decimal(-n))
             assert poly._text_int(text) == n
             assert poly._text_int(text.zfill(len(text) + 9)) == n
+        # a digit int() does not read is a ValueError, not a recursion
+        for text in ("\u00b2", "1\u00b2", "\u2460" * 5000):
+            with pytest.raises(ValueError):
+                poly._text_int(text)
 
     def test_context_traps_rounding(self):
         ctx = poly._EXACT
