@@ -11,6 +11,7 @@ R the honest answer is Undetermined.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -18,13 +19,8 @@ from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
 from .poly import ONE, Polynomial, Unit, _int_conv
-from .roots import (
-    _primitive,
-    count_real_roots,
-    is_probable_prime,
-    rational_roots,
-    squarefree_decomposition,
-)
+from .roots import _primitive, is_probable_prime, squarefree_decomposition
+from .roots import rational_roots  # noqa: F401  perfbench's tracer test reads it here
 
 
 @dataclass(frozen=True)
@@ -230,15 +226,32 @@ def _qualifying_multiplicities(n: int) -> set[int]:
     return set(range(n - 1 - delta_max, n))
 
 
-def _power_outside_candidates(cv: Polynomial) -> tuple[Polynomial, tuple[Fraction, ...]]:
-    """(c, roots): c is the product of the squarefree parts of cv whose
-    multiplicity qualifies, so only its roots can be the additive constant
-    of a power-outside shape, and roots are its rational roots, ascending.
-    The parts are coprime, so c is squarefree."""
+def _power_outside_candidates(cv: Polynomial) -> tuple[tuple[Fraction, ...], bool]:
+    """(centers, irrational): the rational roots of c, ascending, and whether
+    c has irrational real roots.  c is the product of the squarefree parts of
+    cv of qualifying multiplicity, squarefree as the parts are coprime, and
+    only its roots can be the additive constant of a power-outside shape.
+    deg c <= 2: a qualifying multiplicity is at least (n - 1) / 2 = deg cv / 2
+    and all multiplicities sum to deg cv.  On c's numerators c0 + c1 x +
+    c2 x^2 (c2 > 0, c being monic), constant c has no root, linear c has
+    -c0 / c1, and quadratic c, with disc = c1^2 - 4 c0 c2 nonzero, has none
+    real if disc < 0, two rational ones if disc is a square, and two
+    irrational ones otherwise."""
     qualifying = _qualifying_multiplicities(cv.degree + 1)
     _, parts = squarefree_decomposition(cv)
     c = math.prod((f for k, f in parts.items() if k in qualifying), start=ONE)
-    return c, () if c.is_constant else rational_roots(c)
+    if c.is_constant:
+        return (), False
+    if c.degree == 1:
+        return (Fraction(-c.num[0], c.num[1]),), False
+    c0, c1, c2 = c.num
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc < 0:
+        return (), False
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return (), True
+    return (Fraction(-c1 - r, 2 * c2), Fraction(r - c1, 2 * c2)), False
 
 
 def classify_shape(p: Polynomial) -> ShapeClass:
@@ -247,9 +260,8 @@ def classify_shape(p: Polynomial) -> ShapeClass:
     Pure powers and the power-inside pattern are tried first at their one
     pinned center (hence completely), then power-outside at the rational
     candidates of one squarefree decomposition of the critical values.  If
-    all three fail, the result is R when every remaining candidate is
-    certified non-real or rational (and already refuted), and Undetermined
-    when an irrational real candidate survives.
+    all three fail, the result is R, or Undetermined when the candidates
+    are real roots of a quadratic with a positive non-square discriminant.
     """
     if p.is_constant or p.degree < 2:
         raise ValueError("classification needs degree >= 2")
@@ -258,13 +270,11 @@ def classify_shape(p: Polynomial) -> ShapeClass:
     shape = _try_centered(p)
     if shape is not None:
         return shape
-    candidates, centers = _power_outside_candidates(critical_value_polynomial(p))
+    centers, irrational = _power_outside_candidates(critical_value_polynomial(p))
     shape = _try_power_outside(p, centers)
     if shape is not None:
         return shape
-    if not candidates.is_constant and count_real_roots(candidates) > len(centers):
-        return ShapeClass(tag="Undetermined", source=p)
-    return ShapeClass(tag="R", source=p)
+    return ShapeClass(tag="Undetermined" if irrational else "R", source=p)
 
 
 @dataclass(frozen=True)
@@ -282,25 +292,15 @@ class RittInvariants:
 
 def invariants_of_factors(factors) -> RittInvariants:
     """Counts of P, Q, R tags over an explicit factor list."""
-    n_p = n_q = n_r = n_u = 0
-    by_prime: dict[int, int] = {}
-    for f in factors:
-        shape = classify_shape(f)
-        if shape.tag == "P":
-            n_p += 1
-            by_prime[shape.prime] = by_prime.get(shape.prime, 0) + 1
-        elif shape.tag == "Q":
-            n_q += 1
-        elif shape.tag == "R":
-            n_r += 1
-        else:
-            n_u += 1
+    shapes = [classify_shape(f) for f in factors]
+    tags = Counter(shape.tag for shape in shapes)
+    primes = Counter(shape.prime for shape in shapes if shape.tag == "P")
     return RittInvariants(
-        n_P=n_p,
-        n_Q=n_q,
-        n_R=n_r,
-        n_undetermined=n_u,
-        p_by_prime=tuple(sorted(by_prime.items())),
+        n_P=tags["P"],
+        n_Q=tags["Q"],
+        n_R=tags["R"],
+        n_undetermined=tags["Undetermined"],
+        p_by_prime=tuple(sorted(primes.items())),
     )
 
 

@@ -32,7 +32,7 @@ from math import gcd, prod
 
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
-from .poly import Polynomial, PostconditionError, compose_all
+from .poly import Polynomial, PostconditionError, _frac, compose_all
 from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
 
 
@@ -259,12 +259,13 @@ class MaxBase:
     def instantiate(self, shifts) -> tuple[Polynomial, ...]:
         """Build the concrete A-decomposition for one choice of shifts.
 
-        shifts must pick one admissible shift per head factor.  The result
-        recomposes to the target, every factor lies in A, and the tail
-        block is A-irreducible by maximality; PostconditionError is raised
-        when any of the three fails.
+        shifts must pick one admissible shift, an int or a Fraction, per
+        head factor (TypeError otherwise).  The result recomposes to the
+        target, every factor lies in A, and the tail block is A-irreducible
+        by maximality; PostconditionError is raised when any of the three
+        fails.
         """
-        shifts = tuple(Fraction(s) for s in shifts)
+        shifts = tuple(_frac(s) for s in shifts)
         if len(shifts) != self.position - 1:
             raise ValueError(
                 f"expected {self.position - 1} shifts, got {len(shifts)}"
@@ -543,8 +544,9 @@ def apply_cusp_move(
 
     Raises PatternMismatchError when the factors do not fit the kind,
     IrrationalRootRequiredError when the rewrite exists but needs
-    irrational data, and ValueError for bad positions or arguments.  The
-    result always recomposes to the original composite.
+    irrational data, ValueError for bad positions or arguments, and
+    TypeError for a shift that is not an int or a Fraction.  The result
+    always recomposes to the original composite.
     """
     fs = [f for f in factors]
     if any(f.is_constant for f in fs):
@@ -559,7 +561,7 @@ def apply_cusp_move(
     if k == "adm":
         if shift is None:
             raise ValueError("the shift transfer move needs a shift")
-        _move_shift_transfer(fs, i, Fraction(shift))
+        _move_shift_transfer(fs, i, _frac(shift))
     elif k == "ca":
         _move_chebyshev_swap(fs, i)
     elif k == "cb":

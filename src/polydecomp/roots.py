@@ -320,6 +320,7 @@ def squarefree_decomposition(p: Polynomial) -> tuple[Fraction, dict[int, Polynom
     return content, parts
 
 
+# Traced by perfbench/tracer.py's LAYERS, and a test oracle; the library never calls it.
 def count_real_roots(p: Polynomial) -> int:
     """Number of distinct real roots, by a Sturm chain on the squarefree part."""
     if p.is_zero:

@@ -8,6 +8,7 @@ shape is visible by hand, and against `full_scan_classify`, which tries
 power-outside at every rational root of the critical value polynomial.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ from polydecomp.cli import _invariants_json
 from polydecomp.corpus import indecomposable_factor
 from polydecomp.decompose import complete_decomposition, enumerate_classes
 from polydecomp.parsing import parse
-from polydecomp.poly import Polynomial, Unit, compose_all
+from polydecomp.poly import MAX_DEGREE, ONE, Polynomial, Unit, compose_all
 from polydecomp.roots import count_real_roots, rational_roots, squarefree_decomposition
 
 
@@ -247,8 +248,8 @@ def has_irrational_real_candidate(p):
     """Whether the critical values of p that a power-outside shape could
     use include an irrational real one: the test classify_shape makes
     before it answers Undetermined."""
-    candidates, centers = _power_outside_candidates(critical_value_polynomial(p))
-    return count_real_roots(candidates) > len(centers)
+    _, irrational = _power_outside_candidates(critical_value_polynomial(p))
+    return irrational
 
 
 class TestIrrationalCandidates:
@@ -339,6 +340,71 @@ class TestFullScanOracle:
         monkeypatch.setattr(classify, "_try_centered", lambda p: None)
         p = parse(src)
         assert classify_shape(p) == full_scan_classify(p) == ShapeClass(tag="Undetermined", source=p)
+
+
+def qualifying_part(p):
+    """c, the product of the squarefree parts of p's critical value
+    polynomial whose multiplicity qualifies."""
+    _, parts = squarefree_decomposition(critical_value_polynomial(p))
+    qualifying = classify._qualifying_multiplicities(p.degree)
+    return math.prod((f for k, f in parts.items() if k in qualifying), start=ONE)
+
+
+def test_qualifying_multiplicities_are_at_least_half():
+    # each qualifying critical value takes at least half of the n - 1
+    # critical points, so at most two qualify: deg c <= 2
+    for n in range(2, MAX_DEGREE + 1):
+        assert 2 * min(classify._qualifying_multiplicities(n)) >= n - 1, n
+
+
+def test_qualifying_part_is_at_most_quadratic():
+    for p in _corpus_factors() + _power_outside_shapes():
+        assert qualifying_part(p).degree <= 2, p
+
+
+@pytest.mark.parametrize(
+    "src,centered,deg_c,candidates,tag,b",
+    [
+        # constant c: no critical value qualifies
+        ("x^5 + x^4 + x", True, 0, ((), False), "R", None),
+        # linear c: x^3 (x + 1)^2, the critical value 0 of multiplicity 3
+        ("x^5 + 2x^4 + x^3", True, 1, ((F(0),), False), "Q", F(0)),
+        # square discriminant: T_5 and T_7 are power-outside at both
+        # constants +-1, and the smaller is tried first
+        ("16x^5 - 20x^3 + 5x", False, 2, ((F(-1), F(1)), False), "Q", F(-1)),
+        ("64x^7 - 112x^5 + 56x^3 - 7x", False, 2, ((F(-1), F(1)), False), "Q", F(-1)),
+        # negative discriminant: the qualifying critical values are +-2i
+        ("x^5 + 5x^3 + 5x", False, 2, ((), False), "R", None),
+        # positive discriminant, not a square: +-32 sqrt(2)
+        ("3x^5 - 20x^3 + 60x", False, 2, ((), True), "Undetermined", None),
+    ],
+)
+def test_candidates_by_branch_need_no_root_finder(monkeypatch, src, centered, deg_c, candidates, tag, b):
+    # one row per branch of the closed form in _power_outside_candidates,
+    # each checked against the full scan, which uses the root finder and the
+    # Sturm chain that classify_shape no longer calls
+    p = parse(src)
+    if not centered:
+        monkeypatch.setattr(classify, "_try_centered", lambda p: None)
+    assert qualifying_part(p).degree == deg_c
+    assert _power_outside_candidates(critical_value_polynomial(p)) == candidates
+    calls = []
+
+    def spy(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        return counted
+
+    for module, name in ((roots, "rational_roots"), (roots, "count_real_roots"), (classify, "rational_roots")):
+        monkeypatch.setattr(module, name, spy(f"{module.__name__}.{name}", getattr(module, name)))
+    shape = classify_shape(p)
+    assert calls == []
+    assert shape == full_scan_classify(p)
+    assert shape.tag == tag
+    if tag == "Q":
+        assert (shape.variant, shape.outer_unit.shift, shape.recompose()) == ("power-outside", b, p)
 
 
 def test_squarefree_critical_values_need_no_roots_and_no_gcd(monkeypatch):

@@ -319,6 +319,18 @@ class TestMaxDecompositions:
             assert isinstance(info.value, ValueError)
             assert not isinstance(info.value, AssertionError)
 
+    # a string, float or bool shift is refused before any arithmetic, like
+    # a Unit shift; "1e10000000" would otherwise build 10^(10^7)
+    @pytest.mark.parametrize("bad", ["-1/2", "1e10000000", -0.5, True])
+    def test_instantiate_rejects_inexact_shifts(self, bad):
+        base = max_decompositions(A8).bases[0]
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            base.instantiate((F(0), bad))
+
+    def test_instantiate_takes_int_and_fraction_shifts(self):
+        base = max_decompositions(A8).bases[0]
+        assert base.instantiate((0, F(-1, 2))) == base.instantiate((F(0), F(-1, 2)))
+
     def test_default_instantiations(self):
         sk = max_decompositions(A8)
         assert sk.default_instantiations() == (
@@ -390,6 +402,15 @@ class TestMoves:
         there = apply_cusp_move(start, 2, "adm", F(-1, 2))
         back = apply_cusp_move(there.factors, 2, "adm", F(1, 2))
         assert back.factors == start
+
+    @pytest.mark.parametrize("bad", ["-1/2", "1e10000000", -0.5, True])
+    def test_shift_transfer_rejects_inexact_shifts(self, bad):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            apply_cusp_move((parse("x^2"), parse("x^2 + x"), parse("x^2")), 2, "adm", bad)
+
+    def test_shift_transfer_takes_int_and_fraction_shifts(self):
+        start = (parse("x^2"), parse("x^2 + 1"))
+        assert apply_cusp_move(start, 1, "adm", 1) == apply_cusp_move(start, 1, "adm", F(1))
 
     def test_shift_transfer_rejects_inadmissible(self):
         with pytest.raises(PatternMismatchError):
