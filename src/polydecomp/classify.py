@@ -19,7 +19,7 @@ from typing import Optional
 
 from .decompose import complete_decomposition, is_indecomposable
 from .poly import ONE, Polynomial, Unit, _int_conv
-from .roots import _primitive, is_probable_prime, squarefree_decomposition
+from .roots import _primitive, _split_power, is_probable_prime, squarefree_decomposition
 from .roots import rational_roots  # noqa: F401  perfbench's tracer test reads it here
 
 
@@ -174,9 +174,9 @@ def _try_power_outside(p: Polynomial, centers: tuple[Fraction, ...]) -> Optional
     For each, p - b is split into squarefree parts: the shape holds iff
     exactly one multiplicity class escapes divisibility by a prime l, that
     class is a single rational point (its part is linear), and the rest
-    assemble into an exact l-th power.
+    assemble into an exact l-th power, which `_split_power` reads off
+    p - b recentred at that point.
     """
-    lc = p.lead
     for b in centers:
         _, parts = squarefree_decomposition(p - b)
         mults = sorted(e for e in parts)
@@ -191,23 +191,20 @@ def _try_power_outside(p: Polynomial, centers: tuple[Fraction, ...]) -> Optional
                 if shared % l or not is_probable_prime(l) or s % l == 0:
                     continue
                 x0 = -parts[s][0]
-                ghat = Polynomial.const(1)
-                for e in others:
-                    ghat = ghat * parts[e] ** (e // l)
-                g = ghat.shift_arg(x0)
-                shape = ShapeClass(
+                split = _split_power((p - b).shift_arg(x0), l)
+                if split is None:
+                    continue
+                return ShapeClass(
                     tag="Q",
                     source=p,
                     prime=l,
                     variant="power-outside",
                     s=s,
                     center=x0,
-                    witness_g=g,
-                    outer_unit=Unit(shift=b, scale=lc),
+                    witness_g=split[1],
+                    outer_unit=Unit(shift=b, scale=p.lead),
                     inner_unit=Unit(shift=-x0, scale=Fraction(1)),
                 )
-                if shape.recompose() == p:
-                    return shape
     return None
 
 

@@ -53,10 +53,6 @@ from .parsing import ParseError, format_coeffs, format_poly, format_rational, pa
 from .parsing import parse_rational
 from .poly import MAX_DEGREE, Polynomial, Unit, compose_all
 
-_SUITES = ("ritt1", "invariants", "chebyshev", "odd", "cusp", "all")
-_SUITE_TRIALS = {"ritt1": 200, "invariants": 200, "odd": 1000, "cusp": 50}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the contract here is 1."""
 
@@ -93,7 +89,10 @@ def _gather(args) -> list[Polynomial]:
     texts: list[str] = list(args.poly)
     for path in args.file:
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
         if isinstance(data, str):
             texts.append(data)
         elif isinstance(data, list) and all(isinstance(t, str) for t in data):
@@ -118,6 +117,11 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _chain_lines(chains) -> list[str]:
+    """One indented line per chain of factors, joined by "o"."""
+    return ["  " + "  o  ".join(format_poly(f) for f in c) for c in chains]
 
 
 def _set_fields_json(result, skip: tuple[str, ...] = ()) -> dict:
@@ -177,18 +181,17 @@ def _skeleton_json(sk) -> dict:
     }
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> tuple[int, dict, list[str]]:
     p = _one(args)
     payload = {
         "poly": format_poly(p),
         "degree": None if p.is_zero else p.degree,
         "coefficients": format_coeffs(p),
     }
-    _emit(args, payload, [format_poly(p)])
-    return 0
+    return 0, payload, [format_poly(p)]
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple[int, dict, list[str]]:
     ps = _gather(args)
     if len(ps) < 2:
         raise ValueError("compose needs at least two polynomials")
@@ -198,11 +201,10 @@ def _cmd_compose(args) -> int:
         "composite": format_poly(c),
         "degree": None if c.is_zero else c.degree,
     }
-    _emit(args, payload, [format_poly(c)])
-    return 0
+    return 0, payload, [format_poly(c)]
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
     a = _one(args)
     d = complete_decomposition(a)
     payload = {
@@ -210,11 +212,10 @@ def _cmd_decompose(args) -> int:
         "factors": [format_poly(f) for f in d.factors],
         "degree_sequence": list(d.degree_sequence),
     }
-    _emit(args, payload, [format_poly(f) for f in d.factors])
-    return 0
+    return 0, payload, [format_poly(f) for f in d.factors]
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> tuple[int, dict, list[str]]:
     a = _one(args)
     classes = enumerate_classes(a)
     payload = {
@@ -228,21 +229,17 @@ def _cmd_classes(args) -> int:
             for c in classes
         ],
     }
-    lines = [f"{len(classes)} class(es)"]
-    for c in classes:
-        lines.append("  " + "  o  ".join(format_poly(f) for f in c.factors))
-    _emit(args, payload, lines)
-    return 0
+    lines = [f"{len(classes)} class(es)", *_chain_lines(c.factors for c in classes)]
+    return 0, payload, lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     shape = classify_shape(_one(args))
     payload = {"shape": _set_fields_json(shape, skip=("source",))}
-    _emit(args, payload, [f"tag: {shape.tag}"])
-    return 0
+    return 0, payload, [f"tag: {shape.tag}"]
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[int, dict, list[str]]:
     inv = ritt_invariants(_one(args))
     payload = {"invariants": _invariants_json(inv)}
     lines = [
@@ -255,18 +252,16 @@ def _cmd_invariants(args) -> int:
             else "(none)"
         ),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_common(args) -> int:
+def _cmd_common(args) -> tuple[int, dict, list[str]]:
     ps = _gather(args)
     if len(ps) != 2:
         raise ValueError("common needs exactly two polynomials")
     got = common_composite(ps[0], ps[1], args.bound)
     if got is None:
-        _emit(args, {"found": False}, ["none"])
-        return 0
+        return 0, {"found": False}, ["none"]
     c, alpha, beta = got
     payload = {
         "found": True,
@@ -274,21 +269,18 @@ def _cmd_common(args) -> int:
         "outer_for_first": format_poly(alpha),
         "outer_for_second": format_poly(beta),
     }
-    _emit(args, payload, [format_poly(c)])
-    return 0
+    return 0, payload, [format_poly(c)]
 
 
-def _cmd_cheb(args) -> int:
+def _cmd_cheb(args) -> tuple[int, dict, list[str]]:
     t = chebyshev(args.n)
-    _emit(args, {"n": args.n, "poly": format_poly(t)}, [format_poly(t)])
-    return 0
+    return 0, {"n": args.n, "poly": format_poly(t)}, [format_poly(t)]
 
 
-def _cmd_odd_analyze(args) -> int:
+def _cmd_odd_analyze(args) -> tuple[int, dict, list[str]]:
     a = _one(args)
     if not is_odd(a):
-        _emit(args, {"odd": False, "poly": format_poly(a)}, ["not an odd polynomial"])
-        return 2
+        return 2, {"odd": False, "poly": format_poly(a)}, ["not an odd polynomial"]
     payload: dict = {"odd": True, "poly": format_poly(a)}
     lines = ["odd: yes"]
     if a.degree >= 2:
@@ -298,8 +290,7 @@ def _cmd_odd_analyze(args) -> int:
         classes = decompose_in_O(a)
         payload["classes"] = [[format_poly(f) for f in c.factors] for c in classes]
         lines.append(f"{len(classes)} class(es)")
-        for c in classes:
-            lines.append("  " + "  o  ".join(format_poly(f) for f in c.factors))
+        lines.extend(_chain_lines(c.factors for c in classes))
         swaps = []
         pairs = [c.factors for c in classes if len(c.factors) == 2]
         for i in range(len(pairs)):
@@ -308,20 +299,18 @@ def _cmd_odd_analyze(args) -> int:
                 swaps.append(_set_fields_json(res))
                 lines.append(f"swap {i},{j}: kind {res.kind}")
         payload["swaps"] = swaps
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_odd_swap(args) -> int:
+def _cmd_odd_swap(args) -> tuple[int, dict, list[str]]:
     ps = _gather(args)
     if len(ps) != 4:
         raise ValueError("odd swap needs four polynomials: p q p* q*")
     res = classify_odd_swap(ps[0], ps[1], ps[2], ps[3])
-    _emit(args, {"swap": _set_fields_json(res)}, [f"kind {res.kind}"])
-    return 0
+    return 0, {"swap": _set_fields_json(res)}, [f"kind {res.kind}"]
 
 
-def _cmd_cusp_report(args) -> int:
+def _cmd_cusp_report(args) -> tuple[int, dict, list[str]]:
     a = _one(args)
     sk = max_decompositions(a)
     rep = sk.report
@@ -333,11 +322,10 @@ def _cmd_cusp_report(args) -> int:
         "maximal degree multisets: "
         + " ".join("{" + ",".join(map(str, m)) + "}" for m in sk.degree_multisets),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_cusp_decs(args) -> int:
+def _cmd_cusp_decs(args) -> tuple[int, dict, list[str]]:
     a = _one(args)
     decs = enumerate_A_decompositions(a)
     payload = {
@@ -345,14 +333,11 @@ def _cmd_cusp_decs(args) -> int:
         "lengths": list(decs.lengths),
         "members": [[format_poly(f) for f in m] for m in decs.members],
     }
-    lines = [f"lengths: {sorted(set(decs.lengths))}"]
-    for m in decs.members:
-        lines.append("  " + "  o  ".join(format_poly(f) for f in m))
-    _emit(args, payload, lines)
-    return 0
+    lines = [f"lengths: {list(decs.lengths)}", *_chain_lines(decs.members)]
+    return 0, payload, lines
 
 
-def _cmd_cusp_move(args) -> int:
+def _cmd_cusp_move(args) -> tuple[int, dict, list[str]]:
     ps = _gather(args)
     if len(ps) < 2:
         raise ValueError("cusp move needs a decomposition of at least two factors")
@@ -365,9 +350,7 @@ def _cmd_cusp_move(args) -> int:
             "in_A": list(res.in_A),
         }
     }
-    lines = [" o ".join(format_poly(f) for f in res.factors)]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, [" o ".join(format_poly(f) for f in res.factors)]
 
 
 def _suite_ritt1(seed: int, trials: int) -> tuple[int, list[str]]:
@@ -500,25 +483,26 @@ def _suite_cusp(seed: int, trials: int) -> tuple[int, list[str]]:
     return checks, failures
 
 
-_SUITE_RUNNERS = {
-    "ritt1": _suite_ritt1,
-    "invariants": _suite_invariants,
-    "chebyshev": _suite_chebyshev,
-    "odd": _suite_odd,
-    "cusp": _suite_cusp,
+# name: (runner, default trial count); chebyshev's identity set is fixed
+_SUITES = {
+    "ritt1": (_suite_ritt1, 200),
+    "invariants": (_suite_invariants, 200),
+    "chebyshev": (_suite_chebyshev, 0),
+    "odd": (_suite_odd, 1000),
+    "cusp": (_suite_cusp, 50),
 }
 
 
-def _cmd_verify(args) -> int:
-    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     lines = []
     any_fail = False
     for name in names:
-        trials = args.trials
-        if trials is None:
-            trials = _SUITE_TRIALS.get(name, 0)
-        checks, failures = _SUITE_RUNNERS[name](args.seed, trials)
+        runner, trials = _SUITES[name]
+        if args.trials is not None:
+            trials = args.trials
+        checks, failures = runner(args.seed, trials)
         any_fail = any_fail or bool(failures)
         results.append(
             {
@@ -529,37 +513,29 @@ def _cmd_verify(args) -> int:
             }
         )
         lines.append(f"suite {name}: {checks - len(failures)}/{checks} pass")
-    _emit(args, {"seed": args.seed, "results": results}, lines)
-    return 2 if any_fail else 0
+    return (2 if any_fail else 0), {"seed": args.seed, "results": results}, lines
+
+
+def _add_commands(subs, *rows) -> None:
+    """Register (name, help, polys, handler) rows that take only I/O flags."""
+    for name, help_text, polys, fn in rows:
+        sp = subs.add_parser(name, help=help_text)
+        _add_io(sp, polys)
+        sp.set_defaults(fn=fn)
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="polydecomp", description=__doc__.splitlines()[0])
     subs = top.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("parse", help="canonical text form of a polynomial")
-    _add_io(sp, "one")
-    sp.set_defaults(fn=_cmd_parse)
-
-    sp = subs.add_parser("compose", help="compose polynomials left to right")
-    _add_io(sp, "many")
-    sp.set_defaults(fn=_cmd_compose)
-
-    sp = subs.add_parser("decompose", help="one complete decomposition")
-    _add_io(sp, "one")
-    sp.set_defaults(fn=_cmd_decompose)
-
-    sp = subs.add_parser("classes", help="all decomposition classes")
-    _add_io(sp, "one")
-    sp.set_defaults(fn=_cmd_classes)
-
-    sp = subs.add_parser("classify", help="shape tag of an indecomposable")
-    _add_io(sp, "one")
-    sp.set_defaults(fn=_cmd_classify)
-
-    sp = subs.add_parser("invariants", help="class-independent factor counts")
-    _add_io(sp, "one")
-    sp.set_defaults(fn=_cmd_invariants)
+    _add_commands(
+        subs,
+        ("parse", "canonical text form of a polynomial", "one", _cmd_parse),
+        ("compose", "compose polynomials left to right", "many", _cmd_compose),
+        ("decompose", "one complete decomposition", "one", _cmd_decompose),
+        ("classes", "all decomposition classes", "one", _cmd_classes),
+        ("classify", "shape tag of an indecomposable", "one", _cmd_classify),
+        ("invariants", "class-independent factor counts", "one", _cmd_invariants),
+    )
 
     sp = subs.add_parser("common", help="least common composite of two polynomials")
     _add_io(sp, "many")
@@ -572,22 +548,19 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_cheb)
 
     sp = subs.add_parser("odd", help="odd-monoid operations")
-    osubs = sp.add_subparsers(dest="odd_command", required=True)
-    op = osubs.add_parser("analyze", help="membership, irreducibility, classes")
-    _add_io(op, "one")
-    op.set_defaults(fn=_cmd_odd_analyze)
-    op = osubs.add_parser("swap", help="name the swap pattern of two pairs")
-    _add_io(op, "many")
-    op.set_defaults(fn=_cmd_odd_swap)
+    _add_commands(
+        sp.add_subparsers(dest="odd_command", required=True),
+        ("analyze", "membership, irreducibility, classes", "one", _cmd_odd_analyze),
+        ("swap", "name the swap pattern of two pairs", "many", _cmd_odd_swap),
+    )
 
     sp = subs.add_parser("cusp", help="cusp-semigroup operations")
     csubs = sp.add_subparsers(dest="cusp_command", required=True)
-    cp = csubs.add_parser("report", help="length, index, defect, regularity")
-    _add_io(cp, "one")
-    cp.set_defaults(fn=_cmd_cusp_report)
-    cp = csubs.add_parser("decs", help="all decompositions inside A")
-    _add_io(cp, "one")
-    cp.set_defaults(fn=_cmd_cusp_decs)
+    _add_commands(
+        csubs,
+        ("report", "length, index, defect, regularity", "one", _cmd_cusp_report),
+        ("decs", "all decompositions inside A", "one", _cmd_cusp_decs),
+    )
     cp = csubs.add_parser("move", help="apply a local rewrite move")
     _add_io(cp, "many")
     cp.add_argument("--position", type=int, required=True, help="1-based factor index")
@@ -603,7 +576,7 @@ def _build_parser() -> _Parser:
     cp.set_defaults(fn=_cmd_cusp_move)
 
     sp = subs.add_parser("verify", help="run a seeded verification suite")
-    sp.add_argument("--suite", choices=_SUITES, required=True)
+    sp.add_argument("--suite", choices=(*_SUITES, "all"), required=True)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument(
         "--trials", type=_trial_count, help="sample count (suite default if omitted)"
@@ -617,7 +590,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
+        _emit(args, payload, lines)
+        return code
     except IrrationalRootRequiredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,7 +33,7 @@ from math import gcd, prod
 from .chebyshev import _dressed_odd_chebyshev_degree, _has_dressed_chebyshev_shape
 from .decompose import enumerate_classes, scale_canonicalize
 from .poly import Polynomial, PostconditionError, _frac, compose_all
-from .roots import is_probable_prime, poly_kth_root, rational_kth_root, rational_roots
+from .roots import _split_power, is_probable_prime, rational_kth_root, rational_roots
 
 
 class PatternMismatchError(ValueError):
@@ -502,12 +502,13 @@ def _move_power_outward(fs: list[Polynomial], i: int):
             "left factor does not vanish to a power-coprime order at the "
             "right factor's value at 0"
         )
-    g = poly_kth_root(Polynomial.from_ints(w.num[s:], w.den) * (1 / pi.lead), p)
-    if g is None:
+    split = _split_power(w, p)
+    if split is None:
         raise PatternMismatchError(
             "left factor is not lc * (x - x0)^s * G(x)^p at the right "
             "factor's value at 0"
         )
+    g = split[1]
     mu = rational_kth_root(pnext.lead, p)
     if mu is None:
         raise IrrationalRootRequiredError(

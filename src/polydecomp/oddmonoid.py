@@ -26,7 +26,7 @@ from .decompose import (
 )
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
 from .poly import Polynomial
-from .roots import is_probable_prime, poly_kth_root
+from .roots import _split_power, is_probable_prime
 
 
 def is_odd(p: Polynomial) -> bool:
@@ -112,12 +112,11 @@ def _match_power_pattern(
     s = q.degree
     if q.support() != (s,) or s < 3 or not is_probable_prime(s):
         return None
-    t = p.x_valuation()
-    if t == 0 or t % 2 == 0:
+    split = _split_power(p, s)
+    if split is None or split[0] % 2 == 0:
         return None
-    body = Polynomial.from_ints(p.num[t:], p.den)
-    a_poly = poly_kth_root(body * (1 / body.lead), s)
-    inner = None if a_poly is None else a_poly.deflate(2)
+    t, a_poly = split
+    inner = a_poly.deflate(2)
     if inner is None or inner[0] != 0:
         return None
     return s, t, inner[1]

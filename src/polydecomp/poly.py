@@ -59,7 +59,7 @@ def _ratio(v: Scalar) -> tuple[int, int]:
     """(numerator, denominator) of an int or Fraction, in lowest terms."""
     if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
         return v.as_integer_ratio()
-    raise TypeError(f"coefficient must be int or Fraction, got {type(v).__name__}")
+    raise TypeError(f"scalar must be int or Fraction, got {type(v).__name__}")
 
 
 def _frac(v: Scalar) -> Fraction:

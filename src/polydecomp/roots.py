@@ -447,3 +447,11 @@ def poly_kth_root(p: Polynomial, k: int) -> Polynomial | None:
     num, den = root
     r = Polynomial.from_ints(reversed(num), den) * lead_root
     return r if r**k == p else None
+
+
+def _split_power(w: Polynomial, l: int) -> tuple[int, Polynomial] | None:
+    """(s, g) with w = lead(w) * x^s * g(x)^l and g monic, or None: the one
+    reader of the power pattern x^s g^l that the swap recognisers share."""
+    s = w.x_valuation()
+    g = poly_kth_root(Polynomial.from_ints(w.num[s:], w.den) * (1 / w.lead), l)
+    return None if g is None else (s, g)

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, and output stability."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -180,6 +181,14 @@ class TestBasics:
         code, out, _ = run(["compose", "--file", str(path), "--format", "text"])
         assert code == 0
         assert out.strip() == "x^6 + 2*x^4 + x^2"
+
+    def test_deeply_nested_file_is_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(["parse", "--file", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
 
 
 class TestOddCommands:
@@ -440,7 +449,76 @@ class TestVerifySuites:
         assert a[0] == 0 and b[0] == 0
 
 
+_IO = [
+    ("--poly", False, None, [], None),
+    ("--file", False, None, [], None),
+    ("--format", False, ("text", "json"), "text", None),
+]
+
+# Every command path with its arguments in registration order: option
+# string (or dest), required, choices, default and the name of the type.
+FLAGS = {
+    (): [],
+    ("parse",): _IO,
+    ("compose",): _IO,
+    ("decompose",): _IO,
+    ("classes",): _IO,
+    ("classify",): _IO,
+    ("invariants",): _IO,
+    ("common",): [*_IO, ("--bound", False, None, 4096, "int")],
+    ("cheb",): [("n", True, None, None, "int"), _IO[2]],
+    ("odd",): [],
+    ("odd", "analyze"): _IO,
+    ("odd", "swap"): _IO,
+    ("cusp",): [],
+    ("cusp", "report"): _IO,
+    ("cusp", "decs"): _IO,
+    ("cusp", "move"): [
+        *_IO,
+        ("--position", True, None, None, "int"),
+        ("--kind", True, ("adm", "ca", "cb", "cc"), None, None),
+        ("--shift", False, None, 0, "parse_rational"),
+    ],
+    ("verify",): [
+        (
+            "--suite",
+            True,
+            ("ritt1", "invariants", "chebyshev", "odd", "cusp", "all"),
+            None,
+            None,
+        ),
+        ("--seed", False, None, 42, "int"),
+        ("--trials", False, None, None, "_trial_count"),
+        _IO[2],
+    ],
+}
+
+
+def _flag_table(parser, path=()):
+    rows, subs = [], None
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            subs = a
+        elif not isinstance(a, argparse._HelpAction):
+            choices = None if a.choices is None else tuple(a.choices)
+            rows.append((
+                a.option_strings[0] if a.option_strings else a.dest,
+                a.required,
+                choices,
+                a.default,
+                None if a.type is None else a.type.__name__,
+            ))
+    yield path, rows
+    for name, sub in (subs.choices.items() if subs else ()):
+        yield from _flag_table(sub, path + (name,))
+
+
 class TestHelpCoverage:
+    def test_every_flag_of_every_command(self):
+        # usage text varies across Python versions, so the flags are
+        # pinned from the parser itself
+        assert dict(_flag_table(cli._build_parser())) == FLAGS
+
     def test_every_subcommand_listed(self):
         _, out, err = run(["-h"])
         text = out + err

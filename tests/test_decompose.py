@@ -319,11 +319,26 @@ def found_factors():
     return tuple(indecomposable_factor(rng, deg) for deg in (3, 7, 7, 7))
 
 
+def halving_factors():
+    """g o h at d = 49 with h = sum x^j / 2^(49 - j): its reversed
+    coefficients are 1 / 2^j, so q_1 = 2 qualifies against den = 2^48."""
+    h = Polynomial([0] + [F(1, 2 ** (49 - j)) for j in range(1, 50)])
+    g = Polynomial([j % 5 - 2 for j in range(49)] + [1])
+    return (g, h)
+
+
 class TestSlowSplitsWithinBudget:
-    """Splits whose right factor has denominators of 78 bits and more.
-    Scaled by the lcm of those denominators, the digit loop took about
-    30-100 s on them; each answer is checked against the planted chain,
-    whose inner part of degree d is the only canonical candidate."""
+    """Splits whose right factor has large denominators, of 78 bits and
+    more in the first four rows.  Scaled by the lcm of those denominators,
+    the digit loop took about 30-100 s on them; each answer is checked
+    against the planted chain, whose inner part of degree d is the only
+    canonical candidate.
+
+    The last two rows pin `_weighted_denominator`, one branch each.  With
+    s = den they took 58 s (T_7 o T_343, whose odd reversed coefficients
+    vanish, so q_1 = 1 does not qualify and the coprime base runs) and
+    123 s (the q_1 branch), against about 1 s each, on a 2-core host with
+    Python 3.11."""
 
     @pytest.mark.parametrize(
         "factors,d,accepted",
@@ -332,8 +347,13 @@ class TestSlowSplitsWithinBudget:
             (ritt_corpus(42, 200)[1], 343, True),
             (ritt_corpus(42, 200)[81], 175, True),
             (ritt_corpus(42, 200)[57], 245, False),
+            ((chebyshev(7), chebyshev(343)), 343, True),
+            (halving_factors(), 49, True),
         ],
-        ids=["3-7-7-7", "corpus-1", "corpus-81", "corpus-57-reject"],
+        ids=[
+            "3-7-7-7", "corpus-1", "corpus-81", "corpus-57-reject",
+            "T7-T343-coprime-base", "halving-q1",
+        ],
     )
     def test_split(self, factors, d, accepted):
         a = compose_all(factors)
