@@ -63,13 +63,8 @@ def _has_dressed_chebyshev_shape(p: Polynomial) -> bool:
     # Nonzero: odd[k] is lead(p) and T_k's x^(k-2) coefficient is -k*2^(k-3).
     m = (odd[k] * t[k - 2]) / (odd[k - 2] * t[k])
     nu = odd[k] / (t[k] * m ** ((k - 1) // 2))
-    model = Polynomial(
-        [
-            nu * t[j] * m ** ((j - 1) // 2) if j % 2 == 1 else Fraction(0)
-            for j in range(k + 1)
-        ]
-    )
-    return model == odd
+    # Both sides are odd, so the odd coefficients decide the match.
+    return all(odd[j] == nu * t[j] * m ** ((j - 1) // 2) for j in range(1, k + 1, 2))
 
 
 def _dressed_odd_chebyshev_degree(p: Polynomial) -> int | None:

@@ -35,6 +35,7 @@ from .corpus import (
 from .cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
+    _MOVE_KINDS,
     _class_index_positions,
     apply_cusp_move,
     compose_in_A_criterion,
@@ -564,9 +565,7 @@ def _build_parser() -> _Parser:
     cp = csubs.add_parser("move", help="apply a local rewrite move")
     _add_io(cp, "many")
     cp.add_argument("--position", type=int, required=True, help="1-based factor index")
-    cp.add_argument(
-        "--kind", choices=("adm", "ca", "cb", "cc"), required=True, help="move kind"
-    )
+    cp.add_argument("--kind", choices=_MOVE_KINDS, required=True, help="move kind")
     cp.add_argument(
         "--shift",
         type=parse_rational,

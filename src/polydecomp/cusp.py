@@ -176,12 +176,6 @@ class ADecompositions:
         return tuple(sorted({len(m) for m in self.members}))
 
 
-def _bracketings(r: int):
-    for mask in range(2 ** (r - 1)):
-        cuts = [0] + [i for i in range(1, r) if (mask >> (i - 1)) & 1] + [r]
-        yield [(cuts[t], cuts[t + 1]) for t in range(len(cuts) - 1)]
-
-
 def _member_key(member) -> tuple:
     return tuple(
         tuple(f[i].as_integer_ratio() for i in range(len(f.num))) for f in member
@@ -191,42 +185,39 @@ def _member_key(member) -> tuple:
 def enumerate_A_decompositions(a: Polynomial) -> ADecompositions:
     """Enumerate every decomposition of a into A-irreducible factors.
 
-    Each full decomposition class is cut into consecutive blocks in all
-    possible ways.  Between adjacent blocks only a shift unit x + c can be
-    threaded while keeping both sides in A, and c must be an admissible
-    shift of the whole left block; the final block must itself be critical
-    at 0.  Blocks that fail to classify as C or D are discarded.  Members
-    are normalized with scale units (every non-leftmost factor monic) and
-    deduplicated across classes and bracketings.
+    Each full decomposition class is cut into consecutive blocks one cut
+    point at a time, so a dressed block is composed and classified once
+    for all the cuts to its right.  Between adjacent blocks only a shift
+    unit x + c can be threaded while keeping both sides in A, and c must
+    be an admissible shift of the whole left block; the final block must
+    itself be critical at 0.  Blocks that fail to classify as C or D are
+    discarded.  Members are normalized with scale units (every non-leftmost
+    factor monic) and deduplicated across classes and cuts.
     """
     if a.is_constant or a.degree < 2:
         raise ValueError("A-decompositions need degree at least 2")
     if not in_A(a):
         raise ValueError("not an element of A: derivative at 0 is nonzero")
 
-    found: dict[tuple, tuple[Polynomial, ...]] = {}
+    found: set[tuple[Polynomial, ...]] = set()
 
-    def thread(blocks, j, lam_prev, acc):
-        if j == len(blocks) - 1:
-            # A block outside A classifies "not-in-A" and is dropped.
-            dressed = blocks[j] - lam_prev
-            if _is_A_irreducible(dressed):
-                member = scale_canonicalize(acc + [dressed])
-                found[_member_key(member)] = member
-            return
-        for lam in admissible_shifts(blocks[j]):
-            dressed = blocks[j].shift_arg(lam) - lam_prev
-            if _is_A_irreducible(dressed):
-                thread(blocks, j + 1, lam, acc + [dressed])
+    def extend(fs, start, lam_prev, acc):
+        for end in range(start + 1, len(fs)):
+            block = compose_all(fs[start:end])
+            for lam in admissible_shifts(block):
+                dressed = block.shift_arg(lam) - lam_prev
+                if _is_A_irreducible(dressed):
+                    extend(fs, end, lam, acc + [dressed])
+        # A last block outside A classifies "not-in-A" and is dropped.
+        dressed = compose_all(fs[start:]) - lam_prev
+        if _is_A_irreducible(dressed):
+            found.add(scale_canonicalize(acc + [dressed]))
 
     for cls in enumerate_classes(a):
-        fs = cls.factors
-        for spans in _bracketings(len(fs)):
-            blocks = [compose_all(fs[lo:hi]) for lo, hi in spans]
-            thread(blocks, 0, Fraction(0), [])
+        extend(cls.factors, 0, Fraction(0), [])
 
     members = sorted(
-        found.values(),
+        found,
         key=lambda m: (len(m), tuple(f.degree for f in m), _member_key(m)),
     )
     return ADecompositions(target=a, members=tuple(members))

@@ -437,7 +437,7 @@ def enumerate_classes(a: Polynomial) -> tuple[Decomposition, ...]:
     as its canonical Decomposition, sorted by degree sequence and then by
     coefficients.  Raises ValueError below degree 2.
 
-    Breadth-first search from one complete decomposition: each move
+    A worklist search from one complete decomposition: each move
     recombines an adjacent factor pair and re-splits the product at every
     other proper divisor degree.  By Ritt's first theorem any start reaches
     every class; `_first_decomposition` gives it, peeling short left
@@ -452,24 +452,22 @@ def enumerate_classes(a: Polynomial) -> tuple[Decomposition, ...]:
         raise ValueError("decomposition is defined for degree >= 2")
     start = _first_decomposition(a)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[tuple[Polynomial, ...]] = []
-        for fs in frontier:
-            for i in range(len(fs) - 1):
-                pair_product = fs[i].compose(fs[i + 1])
-                skip = fs[i + 1].degree
-                for d in _proper_divisors(pair_product.degree):
-                    if d == skip:
-                        continue
-                    split = right_factor(pair_product, d)
-                    if split is None:
-                        continue
-                    cand = fs[:i] + split + fs[i + 2:]
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+    todo = [start]
+    while todo:
+        fs = todo.pop()
+        for i in range(len(fs) - 1):
+            pair_product = fs[i].compose(fs[i + 1])
+            skip = fs[i + 1].degree
+            for d in _proper_divisors(pair_product.degree):
+                if d == skip:
+                    continue
+                split = right_factor(pair_product, d)
+                if split is None:
+                    continue
+                cand = fs[:i] + split + fs[i + 2:]
+                if cand not in seen:
+                    seen.add(cand)
+                    todo.append(cand)
 
     def sort_key(fs: tuple[Polynomial, ...]):
         return (

@@ -25,7 +25,7 @@ from .decompose import (
     scale_canonicalize,
 )
 from .decompose import right_factor  # noqa: F401  perfbench's tracer test reads it here
-from .poly import Polynomial
+from .poly import Polynomial, compose_all
 from .roots import _split_power, is_probable_prime
 
 
@@ -46,7 +46,7 @@ def adjust_to_odd(
     whether h's even part is constant; the left factor then becomes odd as
     well because an odd composite with an odd right factor forces it.
     """
-    composite = g.compose(h)
+    composite = compose_all((g, h))
     if not is_odd(composite):
         raise ValueError("adjust_to_odd expects an odd composite")
     even_part, _ = h.even_odd_split()
@@ -140,7 +140,7 @@ def classify_odd_swap(
             raise ValueError("classify_odd_swap expects odd factors")
         if not is_irreducible_in_O(f):
             raise ValueError("classify_odd_swap expects O-irreducible factors")
-    if p.compose(q) != p_star.compose(q_star):
+    if compose_all((p, q)) != compose_all((p_star, q_star)):
         raise ValueError("the two pairs do not share a composite")
     # The pairs are unit-equivalent, (p_star, q_star) = (p . (mu x),
     # (x / mu) . q), exactly when their scale-normal forms agree.

@@ -393,14 +393,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return Polynomial.const(1)
+        return Polynomial.from_ints(_int_power({1: self.num}, n), self.den**n)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact euclidean division: self = q*other + r with deg r < deg other."""

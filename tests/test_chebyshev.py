@@ -9,13 +9,20 @@ run iteratively, is a second oracle.
 
 import time
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from polydecomp.chebyshev import chebyshev, chebyshev_reduction_identities, extract_odd_base
+from polydecomp.chebyshev import (
+    _dressed_odd_chebyshev_degree,
+    _has_dressed_chebyshev_shape,
+    chebyshev,
+    chebyshev_reduction_identities,
+    extract_odd_base,
+)
 from polydecomp.decompose import enumerate_classes
 from polydecomp.parsing import parse
-from polydecomp.poly import MAX_DEGREE, ONE, X
+from polydecomp.poly import MAX_DEGREE, ONE, Polynomial, X
 from polydecomp.roots import poly_gcd
 
 
@@ -100,6 +107,60 @@ def test_derivative_gcds_constant():
         for l in primes[i + 1 :]:
             g = poly_gcd(chebyshev(k).derivative(), chebyshev(l).derivative())
             assert g.is_constant and not g.is_zero
+
+
+def dickson(k, a):
+    """D_k(x, a) = sum k/(k-i) C(k-i, i) (-a)^i x^(k-2i), with
+    D_k(t + a/t, a) = t^k + (a/t)^k."""
+    coeffs = [F(0)] * (k + 1)
+    for i in range(k // 2 + 1):
+        coeffs[k - 2 * i] = F(k, k - i) * comb(k - i, i) * (-a) ** i
+    return Polynomial(coeffs)
+
+
+def dress(p):
+    """(3x - 1/2) . p . (2x/5 + 3), both units rational."""
+    return parse("3x - 1/2").compose(p).compose(parse("2/5 x + 3"))
+
+
+DRESSED_SHAPE_TABLE = [
+    # (label, polynomial, is a dressed T_k, k = its degree)
+    ("T3", chebyshev(3), True),
+    ("T5", chebyshev(5), True),
+    ("dressed T3", dress(chebyshev(3)), True),
+    ("dressed T5", dress(chebyshev(5)), True),
+    ("dressed T7", dress(chebyshev(7)), True),
+    ("dressed T9 (odd, not prime)", dress(chebyshev(9)), True),
+    ("D3(x, 2)", dickson(3, 2), True),
+    ("D5(x, 2)", dickson(5, 2), True),
+    ("D7(x, 3)", dickson(7, 3), True),
+    ("dressed D5(x, -5/3)", dress(dickson(5, F(-5, 3))), True),
+    ("x^3 + x", parse("x^3 + x"), True),
+    ("T5 with its x coefficient changed", parse("16x^5 - 20x^3 + 6x"), False),
+    ("T5 with its x^3 coefficient changed", parse("16x^5 - 19x^3 + 5x"), False),
+    ("T5 with an x^2 term added", parse("16x^5 - 20x^3 + x^2 + 5x"), False),
+    ("T5 with its constant changed", parse("16x^5 - 20x^3 + 5x + 4"), True),
+    ("dressed T7 with its x coefficient changed", dress(chebyshev(7)) + X, False),
+    ("x^5 + x (no x^3 term)", parse("x^5 + x"), False),
+    ("x^3", parse("x^3"), False),
+    ("x^7", parse("x^7"), False),
+    ("T4 (even degree)", chebyshev(4), False),
+    ("T6 (even degree)", chebyshev(6), False),
+    ("T2", chebyshev(2), False),
+    ("x^2 + 1", parse("x^2 + 1"), False),
+    ("x", X, False),
+    ("7", parse("7"), False),
+]
+
+
+@pytest.mark.parametrize(
+    "p,shape", [row[1:] for row in DRESSED_SHAPE_TABLE],
+    ids=[row[0] for row in DRESSED_SHAPE_TABLE],
+)
+def test_dressed_chebyshev_shape_table(p, shape):
+    assert _has_dressed_chebyshev_shape(p) is shape
+    prime = p.degree in (3, 5, 7)
+    assert _dressed_odd_chebyshev_degree(p) == (p.degree if shape and prime else None)
 
 
 def test_extract_odd_base():

@@ -247,6 +247,15 @@ class TestOddCommands:
         assert payload["swap"]["alpha"] == ["1", "1"]
 
 
+    def test_swap_composite_above_the_cap_is_2(self):
+        # 67 * 71 = 4757 > MAX_DEGREE, refused as `compose` refuses it
+        code, out, err = run(
+            ["odd", "swap", "--poly", "x^67", "--poly", "x^71", "--poly", "x^71", "--poly", "x^67"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: composite degree 4757 exceeds the degree cap 4096\n"
+
+
 class TestCuspCommands:
     def test_report(self):
         code, out, _ = run(["cusp", "report", "--poly", "x^8+2*x^6+x^4", "--format", "json"])

@@ -22,7 +22,7 @@ from polydecomp.cusp import (
     IrrationalRootRequiredError,
     PatternMismatchError,
     PostconditionError,
-    _bracketings,
+    _member_key,
     admissible_shifts,
     apply_cusp_move,
     classify_CD,
@@ -33,7 +33,7 @@ from polydecomp.cusp import (
     index_at_zero,
     max_decompositions,
 )
-from polydecomp.decompose import enumerate_classes, is_indecomposable
+from polydecomp.decompose import enumerate_classes, is_indecomposable, scale_canonicalize
 from polydecomp.parsing import parse
 from polydecomp.poly import Polynomial, compose_all
 
@@ -121,13 +121,51 @@ def old_classify_CD(p):
     return "D"
 
 
+def bracketings(r):
+    """Every cut of r factors into consecutive blocks, as (lo, hi) spans."""
+    for mask in range(2 ** (r - 1)):
+        cuts = [0] + [i for i in range(1, r) if (mask >> (i - 1)) & 1] + [r]
+        yield [(cuts[t], cuts[t + 1]) for t in range(len(cuts) - 1)]
+
+
+def reference_A_decompositions(a):
+    """The members enumerate_A_decompositions lists, by the bracketing
+    search: each bracketing of each class has its blocks composed up front,
+    the shifts are threaded block by block, and members are deduplicated
+    under their coefficient key."""
+    found = {}
+
+    def thread(blocks, j, lam_prev, acc):
+        if j == len(blocks) - 1:
+            dressed = blocks[j] - lam_prev
+            if classify_CD(dressed) in ("C", "D"):
+                member = scale_canonicalize(acc + [dressed])
+                found[_member_key(member)] = member
+            return
+        for lam in admissible_shifts(blocks[j]):
+            dressed = blocks[j].shift_arg(lam) - lam_prev
+            if classify_CD(dressed) in ("C", "D"):
+                thread(blocks, j + 1, lam, acc + [dressed])
+
+    for cls in enumerate_classes(a):
+        fs = cls.factors
+        for spans in bracketings(len(fs)):
+            thread([compose_all(fs[lo:hi]) for lo, hi in spans], 0, F(0), [])
+    return tuple(
+        sorted(
+            found.values(),
+            key=lambda m: (len(m), tuple(f.degree for f in m), _member_key(m)),
+        )
+    )
+
+
 def blocks_and_dressed_blocks(a):
     """Every block enumerate_A_decompositions cuts from a class of a, and
     every dressing of it with the shifts that enumeration threads."""
     out = set()
     for cls in enumerate_classes(a):
         fs = cls.factors
-        for spans in _bracketings(len(fs)):
+        for spans in bracketings(len(fs)):
             blocks = [compose_all(fs[lo:hi]) for lo, hi in spans]
             incoming = (F(0),)
             for j, block in enumerate(blocks):
@@ -262,6 +300,18 @@ class TestEnumerateADecompositions:
         assert out.members == ((parse("x^2"), parse("x^2")),)
         out9 = enumerate_A_decompositions(parse("x^9"))
         assert out9.members == ((parse("x^3"), parse("x^3")),)
+
+    def test_matches_the_bracketing_search(self):
+        subjects = [A8] + [parse(f"x^{n}") for n in (4, 9, 12, 16, 36)]
+        subjects += [
+            a for a in map(compose_all, cusp_corpus(seed=42, count=50)) if a.degree <= 64
+        ]
+        several = 0
+        for a in subjects:
+            members = enumerate_A_decompositions(a).members
+            assert members == reference_A_decompositions(a), a
+            several += len(members) > 1
+        assert several >= 5
 
     def test_lengths_can_differ_from_max(self):
         # the length-2 member exists in the full enumeration but not in

@@ -309,6 +309,19 @@ class TestAdjustToOdd:
         assert got[0].compose(got[1]) == g0.compose(h0)
 
 
+class TestDegreeCap:
+    # x^67 . x^71 has degree 4757 > MAX_DEGREE: both refuse it as
+    # compose_all does, before any power is built
+    def test_classify_odd_swap_refuses_a_composite_above_the_cap(self):
+        p, q = parse("x^67"), parse("x^71")
+        with pytest.raises(ValueError, match="composite degree 4757 exceeds the degree cap 4096"):
+            classify_odd_swap(p, q, q, p)
+
+    def test_adjust_to_odd_refuses_a_composite_above_the_cap(self):
+        with pytest.raises(ValueError, match="composite degree 4757 exceeds the degree cap 4096"):
+            adjust_to_odd(parse("x^67"), parse("x^71"))
+
+
 class TestNegativeFamilies:
     def test_shifted_composites_never_odd(self):
         for a in shifted_odd_composites(seed=5, count=200):

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polydecomp.poly import MAX_DEGREE, ONE, X, ZERO, Polynomial, Unit, compose_all
 from polydecomp import poly
@@ -147,6 +147,18 @@ class TestArithmetic:
     def test_pow(self):
         assert p("x + 1") ** 3 == p("x^3 + 3x^2 + 3x + 1")
         assert p("x") ** 0 == ONE
+        assert ZERO**0 == ONE
+        with pytest.raises(ValueError):
+            p("x") ** -1
+
+    @given(a=polys, n=st.integers(min_value=0, max_value=9))
+    @example(a=ZERO, n=0)
+    @example(a=ZERO, n=5)
+    def test_pow_is_the_repeated_product(self, a, n):
+        product = ONE
+        for _ in range(n):
+            product = product * a
+        assert a**n == product
 
     def test_divmod_oracle(self):
         q, r = divmod(p("x^3 - 2x + 5"), p("x - 1"))
